@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dst import GridParam, RealParam, param_stream
 from .spaces import DiscreteSpace, SurrogateSpec, quantize_activation, surrogate_activation
@@ -87,17 +88,23 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """Valid cross-correlation with grid-valued kernels (out_c, in_c, kh, kw)."""
+    """Valid, stride-1 cross-correlation with grid-valued kernels (out_c, in_c, k, k).
+
+    Runs as im2col on BLAS one kernel row at a time (Chellapilla, Puri & Simard
+    2006): row ``u``'s columns are ``cols[(c, v), (b, i, j)] = x[b, c, i+u, j+v]``
+    and its contribution to the output is one matmul with ``W[:, :, u, :]``.
+    Only one row's columns exist at a time, so the column buffer is k times
+    the input, not k^2 times.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 space: DiscreteSpace, seed: int, layer_index: int, stride: int = 1):
-        if kernel_size < 1 or stride < 1:
-            raise ValueError("kernel size and stride must be positive")
+                 space: DiscreteSpace, seed: int, layer_index: int):
+        if kernel_size < 1:
+            raise ValueError("kernel size must be positive")
         rng = param_stream(seed, layer_index)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.weight = GridParam(
             value=init_grid_weights(
                 (out_channels, in_channels, kernel_size, kernel_size), space, rng),
@@ -106,41 +113,48 @@ class Conv2d(Layer):
         self._x = None
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s = self.kernel_size, self.stride
+        k = self.kernel_size
         if h < k or w < k:
             raise ValueError(f"input {h}x{w} smaller than kernel {k}x{k}")
-        return (h - k) // s + 1, (w - k) // s + 1
+        return h - k + 1, w - k + 1
+
+    def _columns(self, x: np.ndarray, u: int, oh: int) -> np.ndarray:
+        """Kernel row u's im2col block (c*k, b*oh*ow): [(c, v), (b, i, j)] = x[b, c, i+u, j+v]."""
+        c = x.shape[1]
+        windows = sliding_window_view(x[:, :, u:u + oh], self.kernel_size, axis=3)
+        return windows.transpose(1, 4, 0, 2, 3).reshape(c * self.kernel_size, -1)
+
+    def _row_weights(self, u: int) -> np.ndarray:
+        o, c, k, _ = self.weight.value.shape
+        return self.weight.value[:, :, u, :].reshape(o, c * k)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(f"expected (batch, {self.in_channels}, h, w) input, got {x.shape}")
         b, _, h, w = x.shape
         oh, ow = self._out_hw(h, w)
-        k, s = self.kernel_size, self.stride
-        out = np.zeros((b, self.out_channels, oh, ow))
-        kernel = self.weight.value
-        for u in range(k):
-            for v in range(k):
-                patch = x[:, :, u:u + oh * s:s, v:v + ow * s:s]
-                out += np.einsum("bcij,oc->boij", patch, kernel[:, :, u, v])
+        acc = self._row_weights(0) @ self._columns(x, 0, oh)
+        for u in range(1, self.kernel_size):
+            acc += self._row_weights(u) @ self._columns(x, u, oh)
         if training:
             self._x = x
-        return out
+        # acc is (o, b*oh*ow); one transposing copy gives a C-contiguous NCHW result.
+        return np.ascontiguousarray(
+            acc.reshape(self.out_channels, b, oh, ow).transpose(1, 0, 2, 3))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._x
-        b, _, h, w = x.shape
-        oh, ow = grad.shape[2], grad.shape[3]
-        k, s = self.kernel_size, self.stride
-        kernel = self.weight.value
-        dkernel = np.zeros_like(kernel)
+        b, c, _, _ = x.shape
+        _, o, oh, ow = grad.shape
+        k = self.kernel_size
+        g = grad.transpose(1, 0, 2, 3).reshape(o, b * oh * ow)  # column order (b, i, j)
+        dkernel = np.empty_like(self.weight.value)
         dx = np.zeros_like(x)
         for u in range(k):
+            dkernel[:, :, u, :] = (g @ self._columns(x, u, oh).T).reshape(o, c, k)
+            dcols = (self._row_weights(u).T @ g).reshape(c, k, b, oh, ow)
             for v in range(k):
-                patch = x[:, :, u:u + oh * s:s, v:v + ow * s:s]
-                dkernel[:, :, u, v] = np.einsum("boij,bcij->oc", grad, patch)
-                dx[:, :, u:u + oh * s:s, v:v + ow * s:s] += np.einsum(
-                    "boij,oc->bcij", grad, kernel[:, :, u, v])
+                dx[:, :, u:u + oh, v:v + ow] += dcols[:, v].transpose(1, 0, 2, 3)
         self.weight.grad = dkernel
         return dx
 
@@ -160,24 +174,32 @@ class MaxPool2d(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         k = self.window
-        b, c, h, w = x.shape
+        _, _, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"input {h}x{w} not divisible by window {k}")
-        oh, ow = h // k, w // k
-        tiles = x.reshape(b, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, oh, ow, k * k)
-        self._argmax = np.argmax(tiles, axis=4)
-        self._in_shape = x.shape
-        return np.max(tiles, axis=4)
+        # One pass over the k^2 strided taps; tap t sits at offset divmod(t, k).
+        out = x[:, :, ::k, ::k].copy()
+        if training:
+            argmax = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        for t in range(1, k * k):
+            u, v = divmod(t, k)
+            tap = x[:, :, u::k, v::k]
+            if training:
+                # Strict '>' keeps the first maximum in scan order on ties.
+                np.copyto(argmax, t, where=tap > out)
+            np.maximum(out, tap, out=out)
+        if training:
+            self._argmax = argmax
+            self._in_shape = x.shape
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         k = self.window
-        b, c, h, w = self._in_shape
-        oh, ow = h // k, w // k
-        dtiles = np.zeros((b, c, oh, ow, k * k))
-        np.put_along_axis(dtiles, self._argmax[..., None], grad[..., None], axis=4)
-        return dtiles.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h, w)
+        dx = np.zeros(self._in_shape)
+        for t in range(k * k):
+            u, v = divmod(t, k)
+            np.copyto(dx[:, :, u::k, v::k], grad, where=self._argmax == t)
+        return dx
 
 
 class Flatten(Layer):
@@ -231,23 +253,34 @@ class BatchNorm(Layer):
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
         inv_std = 1.0 / np.sqrt(var.reshape(shape) + self.eps)
-        xhat = (x - mean.reshape(shape)) * inv_std
+        # In place, to spare full-size temporaries; the values are bit-identical.
+        xhat = x - mean.reshape(shape)
+        xhat *= inv_std
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         self._cache = (xhat, inv_std, axes, shape, n)
-        return g * xhat + b
+        out = g * xhat
+        out += b
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, inv_std, axes, shape, n = self._cache
-        self.gamma.grad = (grad * xhat).sum(axis=axes)
+        scratch = grad * xhat
+        self.gamma.grad = scratch.sum(axis=axes)
         self.beta.grad = grad.sum(axis=axes)
         dxhat = grad * self.gamma.value.reshape(shape)
-        # Standard batch-norm gradient with mean/var dependence folded in.
-        return inv_std / n * (
-            n * dxhat
-            - dxhat.sum(axis=axes).reshape(shape)
-            - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape)
-        )
+        # Standard batch-norm gradient with mean/var dependence folded in:
+        # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated in place with the same operations in the same order.
+        dxhat_sum = dxhat.sum(axis=axes).reshape(shape)
+        np.multiply(dxhat, xhat, out=scratch)
+        dxhat_xhat_sum = scratch.sum(axis=axes).reshape(shape)
+        dx = dxhat
+        dx *= n
+        dx -= dxhat_sum
+        dx -= np.multiply(xhat, dxhat_xhat_sum, out=scratch)
+        dx *= inv_std / n
+        return dx
 
     def real_params(self) -> list[RealParam]:
         return [self.gamma, self.beta]
@@ -277,11 +310,14 @@ class QuantAct(Layer):
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = self._activation(x)
         self.last_sparsity = float(np.mean(out == 0.0))
-        self._x = x
+        if training:
+            self._x = x
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * surrogate_activation(self._x, self.space, self.spec)
+        slope = surrogate_activation(self._x, self.space, self.spec)
+        slope *= grad
+        return slope
 
 
 def svm_hinge_loss(scores: np.ndarray, labels: np.ndarray) -> LossGrad:

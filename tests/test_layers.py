@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gxnor import (
     BatchNorm,
@@ -35,6 +37,59 @@ def central_diff(f, x, step=1e-6):
         flat[i] = orig
         dflat[i] = (hi - lo) / (2 * step)
     return out
+
+
+def einsum_conv_forward(x, kernel):
+    """Per-tap reference: one einsum per kernel tap, summed in scan order."""
+    k = kernel.shape[2]
+    b, _, h, w = x.shape
+    oh, ow = h - k + 1, w - k + 1
+    out = np.zeros((b, kernel.shape[0], oh, ow))
+    for u in range(k):
+        for v in range(k):
+            out += np.einsum("bcij,oc->boij", x[:, :, u:u + oh, v:v + ow], kernel[:, :, u, v])
+    return out
+
+
+def einsum_conv_backward(x, kernel, grad):
+    """Per-tap reference gradients (dkernel, dx) of :func:`einsum_conv_forward`."""
+    k = kernel.shape[2]
+    oh, ow = grad.shape[2:]
+    dkernel = np.zeros_like(kernel)
+    dx = np.zeros_like(x)
+    for u in range(k):
+        for v in range(k):
+            dkernel[:, :, u, v] = np.einsum("boij,bcij->oc", grad, x[:, :, u:u + oh, v:v + ow])
+            dx[:, :, u:u + oh, v:v + ow] += np.einsum("boij,oc->bcij", grad, kernel[:, :, u, v])
+    return dkernel, dx
+
+
+def tile_maxpool_reference(x, k, grad):
+    """Pooling via a (..., k*k) tile copy and argmax: (out, routing mask, dx)."""
+    b, c, h, w = x.shape
+    oh, ow = h // k, w // k
+    tiles = x.reshape(b, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+        b, c, oh, ow, k * k)
+    argmax = np.argmax(tiles, axis=4)
+
+    def untile(t):
+        return t.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+    routed = np.zeros(tiles.shape, dtype=bool)
+    np.put_along_axis(routed, argmax[..., None], True, axis=4)
+    dtiles = np.zeros(tiles.shape)
+    np.put_along_axis(dtiles, argmax[..., None], grad[..., None], axis=4)
+    return np.max(tiles, axis=4), untile(routed), untile(dtiles)
+
+
+@st.composite
+def ternary_pool_inputs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    b, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(hnp.arrays(float, (b, c, oh * k, ow * k),
+                        elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    return k, x
 
 
 class TestDense:
@@ -114,6 +169,41 @@ class TestConv2d:
         assert np.allclose(layer.weight.grad, central_diff(loss, layer.weight.value),
                            atol=1e-6)
 
+    def test_matches_per_tap_reference_exactly_at_conv2_shape(self):
+        # The MNIST net's second conv: 32 -> 64 channels, 5x5 kernel, 12x12 input.
+        layer = Conv2d(32, 64, kernel_size=5, space=TERNARY, seed=1, layer_index=1)
+        rng = np.random.default_rng(12)
+        x = rng.integers(-1, 2, size=(3, 32, 12, 12)).astype(float)
+        g = rng.integers(-1, 2, size=(3, 64, 8, 8)).astype(float)
+        out = layer.forward(x, training=True)
+        dx = layer.backward(g)
+        dkernel, dx_ref = einsum_conv_backward(x, layer.weight.value, g)
+        # Integer-valued sums are exact in any order, so equality is exact.
+        assert np.array_equal(out, einsum_conv_forward(x, layer.weight.value))
+        assert np.array_equal(layer.weight.grad, dkernel)
+        assert np.array_equal(dx, dx_ref)
+
+    def test_finite_differences_three_channels_non_square(self):
+        layer = Conv2d(3, 2, kernel_size=3, space=TERNARY, seed=4, layer_index=0)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 5, 7))
+        g = rng.normal(size=(2, 2, 3, 5))
+        layer.forward(x, training=True)
+        dx = layer.backward(g)
+
+        def loss():
+            return float(np.sum(g * layer.forward(x, training=False)))
+
+        assert np.allclose(dx, central_diff(loss, x), atol=1e-6)
+        assert np.allclose(layer.weight.grad, central_diff(loss, layer.weight.value),
+                           atol=1e-6)
+
+    def test_forward_is_c_contiguous(self):
+        x = np.random.default_rng(14).normal(size=(3, 2, 5, 4))
+        out = self.make().forward(x, training=False)
+        assert out.shape == (3, 3, 4, 3)
+        assert out.flags.c_contiguous
+
     def test_rejects_too_small_input(self):
         with pytest.raises(ValueError):
             self.make().forward(np.zeros((1, 2, 1, 1)), training=False)
@@ -154,6 +244,36 @@ class TestMaxPool2d:
     def test_rejects_indivisible_input(self):
         with pytest.raises(ValueError):
             MaxPool2d(2).forward(np.zeros((1, 1, 3, 4)), training=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ternary_pool_inputs())
+    def test_ternary_ties_match_tile_reference(self, case):
+        k, x = case
+        layer = MaxPool2d(k)
+        out = layer.forward(x, training=True)
+        grad = np.arange(1.0, out.size + 1).reshape(out.shape)
+        ref_out, ref_routed, ref_dx = tile_maxpool_reference(x, k, grad)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(layer.backward(np.ones_like(out)) != 0, ref_routed)
+        assert np.array_equal(layer.backward(grad), ref_dx)
+
+
+@pytest.mark.parametrize("make,shape", [
+    (lambda: Dense(4, 3, TERNARY, seed=0, layer_index=0), (5, 4)),
+    (lambda: Conv2d(2, 3, kernel_size=2, space=TERNARY, seed=0, layer_index=0), (2, 2, 4, 4)),
+    (lambda: MaxPool2d(2), (2, 3, 4, 4)),
+    (lambda: QuantAct(TERNARY, RECT), (3, 6)),
+], ids=["Dense", "Conv2d", "MaxPool2d", "QuantAct"])
+def test_eval_forward_leaves_backward_cache_alone(make, shape):
+    """An inference pass between forward and backward must not change the gradients."""
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=shape)
+    layer = make()
+    out = layer.forward(x, training=True)
+    g = rng.normal(size=out.shape)
+    expect = layer.backward(g)
+    layer.forward(rng.normal(size=shape), training=False)
+    assert np.array_equal(layer.backward(g), expect)
 
 
 class TestFlatten:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gxnor import (
+    AdamOptimizer,
     BatchNorm,
     Conv2d,
     Dense,
+    DstOptimizer,
     Flatten,
     MaxPool2d,
     QuantAct,
@@ -16,6 +18,7 @@ from gxnor import (
     fit,
     packed_evaluate,
     synthetic_blobs,
+    train_step,
 )
 
 
@@ -146,6 +149,32 @@ class TestTraining:
                 rb.train_loss, rb.test_accuracy, rb.sparsity)
         for wa, wb in zip(weights_a, weights_b):
             assert np.array_equal(wa, wb)
+
+    def test_conv_training_is_byte_identical_across_runs(self):
+        rng = np.random.default_rng(91)
+        images = rng.uniform(-1.0, 1.0, size=(40, 1, 10, 10))
+        labels = rng.integers(0, 3, size=40)
+
+        def run():
+            net = build_network("conv-2c3-mp2-8fc", input_shape=(1, 10, 10), classes=3,
+                                seed=13)
+            grid = DstOptimizer(net.grid_params())
+            real = AdamOptimizer(net.real_params())
+            losses = [train_step(net, images[lo:lo + 20], labels[lo:lo + 20], grid, real)
+                      for lo in (0, 20, 0, 20)]
+            return np.array(losses), net
+
+        initial = build_network("conv-2c3-mp2-8fc", input_shape=(1, 10, 10), classes=3,
+                                seed=13).layers[0].weight.value
+        losses_a, net_a = run()
+        losses_b, net_b = run()
+        assert np.isfinite(losses_a).all()
+        assert losses_a.tobytes() == losses_b.tobytes()
+        for pa, pb in zip(net_a.grid_params(), net_b.grid_params()):
+            assert pa.value.tobytes() == pb.value.tobytes()
+        assert net_a.weights_on_grid()
+        # The kernels hopped, so the run really trained through Conv2d.
+        assert not np.array_equal(net_a.layers[0].weight.value, initial)
 
 
 class TestEvaluate:
