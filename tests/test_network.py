@@ -158,16 +158,15 @@ class TestTraining:
         def run():
             net = build_network("conv-2c3-mp2-8fc", input_shape=(1, 10, 10), classes=3,
                                 seed=13)
+            initial = net.layers[0].weight.value.copy()
             grid = DstOptimizer(net.grid_params())
             real = AdamOptimizer(net.real_params())
             losses = [train_step(net, images[lo:lo + 20], labels[lo:lo + 20], grid, real)
                       for lo in (0, 20, 0, 20)]
-            return np.array(losses), net
+            return np.array(losses), net, initial
 
-        initial = build_network("conv-2c3-mp2-8fc", input_shape=(1, 10, 10), classes=3,
-                                seed=13).layers[0].weight.value
-        losses_a, net_a = run()
-        losses_b, net_b = run()
+        losses_a, net_a, initial = run()
+        losses_b, net_b, _ = run()
         assert np.isfinite(losses_a).all()
         assert losses_a.tobytes() == losses_b.tobytes()
         for pa, pb in zip(net_a.grid_params(), net_b.grid_params()):
