@@ -17,11 +17,12 @@ import json
 import os
 import struct
 from dataclasses import asdict
+from math import prod
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .kernel import PackedMatrix, pack_ternary_matrix, unpack_ternary_matrix
+from .kernel import WORD_BITS, PackedMatrix, pack_ternary_matrix, unpack_ternary_matrix
 from .layers import BatchNorm, Conv2d, Dense
 from .network import Network, build_network
 
@@ -33,6 +34,30 @@ FORMAT_VERSION = 1
 
 class CheckpointError(Exception):
     """Unreadable, corrupt, or wrong-format checkpoint."""
+
+
+# Keys every header and every array descriptor carries, with their JSON types.
+HEADER_KEYS = {
+    "format_version": int,
+    "config": dict,
+    "input_shape": list,
+    "classes": int,
+    "activation_zero_fractions": (list, type(None)),
+    "arrays": list,
+}
+ARRAY_KEYS = {"name": str, "encoding": str, "dtype": str, "shape": list, "offset": int,
+              "nbytes": int}
+ENCODING_DTYPES = {"ternary-planes": "<u8", "grid-index": "<u2", "float": "<f8"}
+
+
+def _check_keys(obj, keys: dict, path: str, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{path}: {what} is not a JSON object")
+    for key, kind in keys.items():
+        if key not in obj:
+            raise CheckpointError(f"{path}: {what} lacks {key!r}")
+        if not isinstance(obj[key], kind):
+            raise CheckpointError(f"{path}: {what} has a mistyped {key!r}")
 
 
 class _PayloadWriter:
@@ -124,6 +149,13 @@ def _read_header(blob: bytes, path: str) -> tuple[dict, bytes]:
         header = json.loads(blob[lead:lead + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    _check_keys(header, HEADER_KEYS, path, "header")
+    for desc in header["arrays"]:
+        _check_keys(desc, ARRAY_KEYS, path, "array descriptor")
+        if ENCODING_DTYPES.get(desc["encoding"]) != desc["dtype"]:
+            raise CheckpointError(
+                f"{path}: array {desc['name']!r} has dtype {desc['dtype']!r} "
+                f"for encoding {desc['encoding']!r}")
     return header, blob[lead + header_len:]
 
 
@@ -131,8 +163,10 @@ def _take(payload: bytes, desc: dict, path: str) -> np.ndarray:
     lo, hi = desc["offset"], desc["offset"] + desc["nbytes"]
     if hi > len(payload):
         raise CheckpointError(f"{path}: truncated payload for {desc['name']}")
-    arr = np.frombuffer(payload[lo:hi], dtype=desc["dtype"])
-    return arr.reshape(desc["shape"])
+    try:
+        return np.frombuffer(payload[lo:hi], dtype=desc["dtype"]).reshape(desc["shape"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad extent for array {desc['name']!r}: {exc}") from exc
 
 
 def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
@@ -147,41 +181,51 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
         config = RunConfig(**header["config"]).validate()
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
-    net = build_network(
-        config.architecture,
-        n1=config.n1, n2=config.n2, h=config.h, r=config.r,
-        surrogate=config.surrogate, a=config.a, seed=config.seed,
-        input_shape=tuple(header["input_shape"]), classes=header["classes"],
-    )
+    try:
+        net = build_network(
+            config.architecture,
+            n1=config.n1, n2=config.n2, h=config.h, r=config.r,
+            surrogate=config.surrogate, a=config.a, seed=config.seed,
+            input_shape=tuple(header["input_shape"]), classes=header["classes"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: header does not fit its config: {exc}") from exc
     by_name = {desc["name"]: desc for desc in header["arrays"]}
 
-    def grab(name: str) -> np.ndarray:
+    def grab(name: str, shape) -> np.ndarray:
         if name not in by_name:
             raise CheckpointError(f"{path}: missing array {name!r}")
-        return _take(payload, by_name[name], path)
+        arr = _take(payload, by_name[name], path)
+        if arr.shape != tuple(shape):
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
+        return arr
 
     for i, layer in enumerate(net.layers):
         if isinstance(layer, (Dense, Conv2d)):
-            space = layer.weight.space
+            space, shape = layer.weight.space, layer.weight.value.shape
             if space.n == 1:
-                mask_desc = by_name.get(f"layer{i}.weight.mask")
-                if mask_desc is None:
-                    raise CheckpointError(f"{path}: missing array 'layer{i}.weight.mask'")
+                length = prod(shape[1:])
+                planes_shape = (shape[0], (length + WORD_BITS - 1) // WORD_BITS)
                 planes = PackedMatrix(
-                    length=int(np.prod(mask_desc["value_shape"][1:])),
-                    mask=grab(f"layer{i}.weight.mask"),
-                    sign=grab(f"layer{i}.weight.sign"),
+                    length=length,
+                    mask=grab(f"layer{i}.weight.mask", planes_shape),
+                    sign=grab(f"layer{i}.weight.sign", planes_shape),
                 )
-                rows = unpack_ternary_matrix(planes) * space.h
-                layer.weight.value = rows.reshape(mask_desc["value_shape"])
+                value_shape = by_name[f"layer{i}.weight.mask"].get("value_shape")
+                if value_shape != list(shape):
+                    raise CheckpointError(
+                        f"{path}: layer {i} weight shape {value_shape} should be {list(shape)}")
+                layer.weight.value = (unpack_ternary_matrix(planes) * space.h).reshape(shape)
             else:
-                idx = grab(f"layer{i}.weight").astype(np.int64)
+                idx = grab(f"layer{i}.weight", shape).astype(np.int64)
                 if idx.size and idx.max() >= space.num_states:
                     raise CheckpointError(f"{path}: grid index out of range in layer {i}")
                 layer.weight.value = space.states()[idx]
         elif isinstance(layer, BatchNorm):
-            layer.gamma.value = grab(f"layer{i}.gamma").copy()
-            layer.beta.value = grab(f"layer{i}.beta").copy()
-            layer.running_mean = grab(f"layer{i}.running_mean").copy()
-            layer.running_var = grab(f"layer{i}.running_var").copy()
+            shape = layer.gamma.value.shape
+            layer.gamma.value = grab(f"layer{i}.gamma", shape).copy()
+            layer.beta.value = grab(f"layer{i}.beta", shape).copy()
+            layer.running_mean = grab(f"layer{i}.running_mean", shape).copy()
+            layer.running_var = grab(f"layer{i}.running_var", shape).copy()
     return net, config, header

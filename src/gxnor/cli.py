@@ -26,6 +26,7 @@ from .network import (
     build_network,
     evaluate,
     fit,
+    packed_eligible,
     packed_evaluate,
 )
 
@@ -143,11 +144,8 @@ def cmd_eval(args) -> int:
     dataset = args.dataset or config.dataset
     _, test_ds = resolve_dataset(dataset, args.data_dir)
     accuracy, sparsity = evaluate(net, test_ds)
-    try:
+    if packed_eligible(net):
         packed_acc, report = packed_evaluate(net, test_ds)
-    except ValueError:
-        packed_acc, report = None, None
-    if packed_acc is not None:
         if packed_acc != accuracy:
             raise RuntimeError(
                 f"packed inference disagrees with float path: {packed_acc} vs {accuracy}")

@@ -69,8 +69,9 @@ class Dataset:
             raise DataError(f"images must be (n, channels, h, w), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise DataError("one label per image required")
-        if self.images.size and (self.images.min() < -1.0 or self.images.max() > 1.0):
-            raise DataError("image values must lie in [-1, 1]")
+        # Written so that a NaN, which fails every comparison, is rejected too.
+        if self.images.size and not (-1.0 <= self.images.min() and self.images.max() <= 1.0):
+            raise DataError("image values must be finite and lie in [-1, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
             raise DataError("labels out of range")
 

@@ -7,9 +7,8 @@ grid range, splits it into whole grid steps plus a fractional remainder, and
 resolves the remainder stochastically: with probability ``tanh(m |rem| / dz)``
 the weight hops one extra step in the increment's direction.
 
-All elementwise functions accept scalars or numpy arrays.  Randomness comes
-from counter-based Philox streams so trajectories are reproducible per seed
-regardless of update scheduling.
+Randomness comes from counter-based Philox streams so trajectories are
+reproducible per seed regardless of update scheduling.
 """
 
 from __future__ import annotations
@@ -22,14 +21,8 @@ from .spaces import DiscreteSpace
 
 __all__ = [
     "DstHyper",
-    "DstState",
-    "TransitionEvent",
     "boundary_restrict",
-    "decompose",
-    "transition_probability",
-    "project_transition",
     "project_transition_array",
-    "adam_delta",
     "lr_schedule",
     "GridParam",
     "RealParam",
@@ -41,40 +34,10 @@ __all__ = [
 
 @dataclass
 class DstHyper:
-    """Hyperparameters shared by every weight of a model."""
+    """The grid a projection lands on and its transition factor ``m``."""
 
     space: DiscreteSpace
     m: float = 3.0
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.m > 0:
-            raise ValueError(f"transition factor must be positive, got {self.m}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam decay rates must lie strictly inside (0, 1)")
-
-
-@dataclass
-class DstState:
-    """Per-weight optimizer state: the grid value plus Adam accumulators."""
-
-    w: float
-    m1: float = 0.0
-    m2: float = 0.0
-    step: int = 0
-
-
-@dataclass(frozen=True)
-class TransitionEvent:
-    """Record of one stochastic projection."""
-
-    steps: int
-    remainder: float
-    probability: float
-    moved_extra: bool
 
 
 def boundary_restrict(w, dw, space: DiscreteSpace):
@@ -85,28 +48,6 @@ def boundary_restrict(w, dw, space: DiscreteSpace):
     return out if out.ndim else float(out)
 
 
-def decompose(v, dz: float):
-    """Split ``v`` into whole steps of ``dz`` and a sign-matching remainder.
-
-    Rounding is toward zero, so ``steps * dz + rem == v`` (to float tolerance)
-    with ``|rem| < dz`` and ``rem`` carrying the sign of ``v`` (or zero).
-    """
-    if not dz > 0:
-        raise ValueError(f"grid spacing must be positive, got {dz}")
-    v = np.asarray(v, dtype=float)
-    rem = np.fmod(v, dz)
-    steps = np.rint((v - rem) / dz).astype(np.int64)
-    if v.ndim:
-        return steps, rem
-    return int(steps), float(rem)
-
-
-def transition_probability(rem, dz: float, m: float):
-    """Chance of the extra one-step hop: ``tanh(m |rem| / dz)``."""
-    out = np.tanh(m * np.abs(np.asarray(rem, dtype=float)) / dz)
-    return out if out.ndim else float(out)
-
-
 def project_transition_array(
     w: np.ndarray,
     dw: np.ndarray,
@@ -114,6 +55,12 @@ def project_transition_array(
     rng: np.random.Generator,
 ):
     """Vectorized stochastic projection of increments onto the grid.
+
+    The clamped increment ``v`` splits into whole grid steps and a remainder.
+    Rounding is toward zero, so ``steps * dz + rem == v`` (to float tolerance)
+    with ``|rem| < dz`` and ``rem`` carrying the sign of ``v`` (or zero).  The
+    extra one-step hop in ``v``'s direction has probability
+    ``tanh(m |rem| / dz)``.
 
     Returns ``(new_w, steps, rem, prob, moved_extra)``.  New weights are grid
     members by construction: the update is carried out in grid-index space and
@@ -131,43 +78,6 @@ def project_transition_array(
     idx = space.index_of(w) + steps + moved * direction
     new_w = space.states()[np.clip(idx, 0, space.num_states - 1)]
     return new_w, steps, rem, prob, moved
-
-
-def project_transition(
-    w: float,
-    dw: float,
-    hyper: DstHyper,
-    rng: np.random.Generator,
-) -> tuple[float, TransitionEvent]:
-    """Project one weight increment; returns the new grid value and the event."""
-    new_w, steps, rem, prob, moved = project_transition_array(
-        np.asarray([w], dtype=float), np.asarray([dw], dtype=float), hyper, rng
-    )
-    event = TransitionEvent(
-        steps=int(steps[0]),
-        remainder=float(rem[0]),
-        probability=float(prob[0]),
-        moved_extra=bool(moved[0]),
-    )
-    return float(new_w[0]), event
-
-
-def _adam_update(grad, m1, m2, step, lr, beta1, beta2, eps):
-    """One bias-corrected Adam step; returns ``(dw, m1, m2)`` for ``step`` >= 1."""
-    m1 = beta1 * m1 + (1.0 - beta1) * grad
-    m2 = beta2 * m2 + (1.0 - beta2) * np.square(grad)
-    m1_hat = m1 / (1.0 - beta1**step)
-    m2_hat = m2 / (1.0 - beta2**step)
-    return -lr * m1_hat / (np.sqrt(m2_hat) + eps), m1, m2
-
-
-def adam_delta(grad: float, state: DstState, hyper: DstHyper) -> float:
-    """Advance Adam state for one weight and return its real increment."""
-    state.step += 1
-    dw, state.m1, state.m2 = _adam_update(
-        grad, state.m1, state.m2, state.step, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps
-    )
-    return float(dw)
 
 
 def lr_schedule(lr_start: float, lr_fin: float, epochs: int) -> float:
@@ -190,65 +100,35 @@ def param_stream(seed: int, layer_index: int) -> np.random.Generator:
 
 
 @dataclass
-class GridParam:
-    """A grid-valued weight tensor with Adam accumulators and its RNG stream."""
+class RealParam:
+    """A full-precision parameter tensor (batch-norm scale/shift) with Adam accumulators."""
 
     value: np.ndarray
+    grad: np.ndarray | None = None
+    m1: np.ndarray = field(init=False)
+    m2: np.ndarray = field(init=False)
+    step: int = 0
+
+    def __post_init__(self) -> None:
+        self.m1 = np.zeros_like(self.value)
+        self.m2 = np.zeros_like(self.value)
+
+
+@dataclass(kw_only=True)
+class GridParam(RealParam):
+    """A grid-valued weight tensor plus its grid and its RNG stream."""
+
     space: DiscreteSpace
     rng: np.random.Generator
-    grad: np.ndarray | None = None
-    m1: np.ndarray = field(init=False)
-    m2: np.ndarray = field(init=False)
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        self.m1 = np.zeros_like(self.value)
-        self.m2 = np.zeros_like(self.value)
-
-
-@dataclass
-class RealParam:
-    """A full-precision parameter tensor (batch-norm scale/shift)."""
-
-    value: np.ndarray
-    grad: np.ndarray | None = None
-    m1: np.ndarray = field(init=False)
-    m2: np.ndarray = field(init=False)
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        self.m1 = np.zeros_like(self.value)
-        self.m2 = np.zeros_like(self.value)
-
-
-class DstOptimizer:
-    """Adam-derived increments projected stochastically onto weight grids."""
-
-    def __init__(self, params: list[GridParam], m: float = 3.0, lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.m = m
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-
-    def step(self) -> None:
-        for p in self.params:
-            p.step += 1
-            dw, p.m1, p.m2 = _adam_update(
-                p.grad, p.m1, p.m2, p.step, self.lr, self.beta1, self.beta2, self.eps
-            )
-            hyper = DstHyper(space=p.space, m=self.m, lr=self.lr,
-                             beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-            p.value, *_ = project_transition_array(p.value, dw, hyper, p.rng)
 
 
 class AdamOptimizer:
-    """Plain Adam for the few full-precision parameters."""
+    """Bias-corrected Adam; full-precision parameters add the increment as is."""
 
     def __init__(self, params: list[RealParam], lr: float = 0.01,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if not (0 < beta1 < 1 and 0 < beta2 < 1):
+            raise ValueError("Adam decay rates must lie strictly inside (0, 1)")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -258,7 +138,27 @@ class AdamOptimizer:
     def step(self) -> None:
         for p in self.params:
             p.step += 1
-            dw, p.m1, p.m2 = _adam_update(
-                p.grad, p.m1, p.m2, p.step, self.lr, self.beta1, self.beta2, self.eps
-            )
-            p.value = p.value + dw
+            p.m1 = self.beta1 * p.m1 + (1.0 - self.beta1) * p.grad
+            p.m2 = self.beta2 * p.m2 + (1.0 - self.beta2) * np.square(p.grad)
+            # The bias-corrected moments are temporaries of one expression, so
+            # they are freed before the increment is applied.
+            dw = -self.lr * (p.m1 / (1.0 - self.beta1**p.step)) / (
+                np.sqrt(p.m2 / (1.0 - self.beta2**p.step)) + self.eps)
+            self._apply(p, dw)
+
+    def _apply(self, p: RealParam, dw: np.ndarray) -> None:
+        p.value = p.value + dw
+
+
+class DstOptimizer(AdamOptimizer):
+    """Adam increments projected stochastically onto each tensor's grid."""
+
+    def __init__(self, params: list[GridParam], m: float = 3.0, lr: float = 0.01,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if not m > 0:
+            raise ValueError(f"transition factor must be positive, got {m}")
+        super().__init__(params, lr, beta1, beta2, eps)
+        self.m = m
+
+    def _apply(self, p: GridParam, dw: np.ndarray) -> None:
+        p.value, *_ = project_transition_array(p.value, dw, DstHyper(p.space, self.m), p.rng)

@@ -47,6 +47,7 @@ __all__ = [
     "train_step",
     "evaluate",
     "activation_zero_fractions",
+    "packed_eligible",
     "packed_evaluate",
     "fit",
 ]
@@ -171,40 +172,43 @@ def train_step(net: Network, images: np.ndarray, labels: np.ndarray,
     return lg.loss
 
 
+def _inference_pass(net: Network, dataset: Dataset,
+                    batch_size: int) -> tuple[int, np.ndarray]:
+    """Float-path correct count and per-quantized-layer zero counts over a dataset."""
+    quant = net.quant_layers()
+    zero = np.zeros(len(quant))
+    correct = 0
+    n = len(dataset)
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        scores = net.forward(dataset.images[lo:hi], training=False)
+        correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
+        for i, qa in enumerate(quant):
+            zero[i] += qa.last_sparsity * (hi - lo)
+    return correct, zero
+
+
 def evaluate(net: Network, dataset: Dataset,
              batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Deterministic float-path accuracy and mean zero-activation fraction."""
     n = len(dataset)
     if n == 0:
         return 0.0, 0.0
-    quant = net.quant_layers()
-    zero_weighted = np.zeros(len(quant))
-    correct = 0
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        scores = net.forward(dataset.images[lo:hi], training=False)
-        correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
-        for i, qa in enumerate(quant):
-            zero_weighted[i] += qa.last_sparsity * (hi - lo)
-    sparsity = float(zero_weighted.mean() / n) if quant else 0.0
+    correct, zero = _inference_pass(net, dataset, batch_size)
+    sparsity = float(zero.mean() / n) if zero.size else 0.0
     return correct / n, sparsity
 
 
 def activation_zero_fractions(net: Network, dataset: Dataset,
                               batch_size: int = EVAL_BATCH) -> list[float]:
     """Per-quantized-layer zero fraction over a dataset (inference mode)."""
-    quant = net.quant_layers()
-    zero = np.zeros(len(quant))
     n = len(dataset)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        net.forward(dataset.images[lo:hi], training=False)
-        for i, qa in enumerate(quant):
-            zero[i] += qa.last_sparsity * (hi - lo)
-    return [float(z / n) for z in zero] if n else [0.0] * len(quant)
+    _, zero = _inference_pass(net, dataset, batch_size)
+    return [float(z / n) for z in zero] if n else [0.0] * len(zero)
 
 
-def _packed_eligible(net: Network) -> bool:
+def packed_eligible(net: Network) -> bool:
+    """Whether ``packed_evaluate`` can run: ternary unit-range grids, dense layers only."""
     ternary_unit = lambda s: s.n == 1 and s.h == 1.0
     return (
         all(ternary_unit(p.space) for p in net.grid_params())
@@ -221,7 +225,7 @@ def packed_evaluate(net: Network, dataset: Dataset,
     layer sees continuous pixels and stays on the float path.  Scores equal
     the float path exactly (integer-valued sums are exact in both).
     """
-    if not _packed_eligible(net):
+    if not packed_eligible(net):
         raise ValueError("packed inference needs ternary unit-range weights and activations")
     packed_w = {
         id(layer): pack_ternary_matrix(layer.weight.value)

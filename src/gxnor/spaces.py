@@ -73,14 +73,6 @@ class DiscreteSpace:
         """Nearest grid index of each value (exact for grid members)."""
         return np.rint((np.asarray(values, dtype=float) + self.h) / self.dz).astype(np.int64)
 
-    def contains(self, values) -> np.ndarray:
-        """Elementwise exact grid membership."""
-        v = np.asarray(values, dtype=float)
-        idx = self.index_of(v)
-        ok = (idx >= 0) & (idx < self.num_states)
-        states = self.states()
-        return ok & (states[np.clip(idx, 0, self.num_states - 1)] == v)
-
 
 def make_space(n: int, h: float = 1.0) -> DiscreteSpace:
     """Build the grid with state parameter ``n`` scaled to ``[-h, h]``."""

@@ -1,19 +1,23 @@
 """Checkpoint serialization: exact round-trips and corrupt-file rejection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from gxnor import (
+from gxnor.cli import main
+from gxnor.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
     CheckpointError,
-    RunConfig,
-    build_network,
-    evaluate,
-    fit,
     load_checkpoint,
     save_checkpoint,
-    synthetic_blobs,
 )
-from gxnor.checkpoint import FORMAT_VERSION, MAGIC
+from gxnor.config import RunConfig
+from gxnor.data import synthetic_blobs
+from gxnor.layers import BatchNorm
+from gxnor.network import build_network, evaluate, fit
 
 
 def blobs_config(**overrides):
@@ -70,7 +74,6 @@ class TestRoundTrip:
         path = str(tmp_path / "model.gxnr")
         save_checkpoint(path, net, cfg)
         restored, _, _ = load_checkpoint(path)
-        from gxnor import BatchNorm
         orig = [l for l in net.layers if isinstance(l, BatchNorm)]
         back = [l for l in restored.layers if isinstance(l, BatchNorm)]
         for a, b in zip(orig, back):
@@ -145,3 +148,58 @@ class TestCorruption:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def rewrite_header(path, mutate):
+    """Apply ``mutate`` to the JSON header of the checkpoint at ``path``."""
+    blob = open(path, "rb").read()
+    lead = len(MAGIC) + 1 + 4
+    (size,) = struct.unpack("<I", blob[lead - 4:lead])
+    header = json.loads(blob[lead:lead + size])
+    mutate(header)
+    body = json.dumps(header).encode("utf-8")
+    open(path, "wb").write(blob[:lead - 4] + struct.pack("<I", len(body)) + body
+                           + blob[lead + size:])
+
+
+HEADER_KEYS = ["format_version", "config", "input_shape", "classes",
+               "activation_zero_fractions", "arrays"]
+# The first descriptor is a ternary weight's mask plane, so it has every key.
+DESCRIPTOR_KEYS = ["name", "encoding", "dtype", "shape", "offset", "nbytes", "value_shape"]
+
+
+def _set(key, value, array=None):
+    def mutate(header):
+        (header if array is None else header["arrays"][array])[key] = value
+    return mutate
+
+
+MALFORMED = (
+    [pytest.param(lambda h, k=k: h.pop(k), id=f"header-without-{k}") for k in HEADER_KEYS]
+    + [pytest.param(lambda h, k=k: h["arrays"][0].pop(k), id=f"array-without-{k}")
+       for k in DESCRIPTOR_KEYS]
+    + [
+        pytest.param(_set("dtype", "<zz", array=0), id="bad-dtype"),
+        pytest.param(_set("dtype", "<f8", array=0), id="dtype-not-of-encoding"),
+        pytest.param(_set("input_shape", "1x1x16"), id="mistyped-input_shape"),
+        pytest.param(_set("input_shape", ["1", 1, 16]), id="mistyped-input_shape-entry"),
+        pytest.param(_set("arrays", {}), id="mistyped-arrays"),
+        pytest.param(_set("classes", "4"), id="mistyped-classes"),
+        pytest.param(_set("offset", "0", array=0), id="mistyped-offset"),
+        pytest.param(_set("shape", [1.5], array=0), id="mistyped-shape-entry"),
+        pytest.param(_set("shape", [2], array=0), id="shape-not-of-nbytes"),
+        pytest.param(_set("value_shape", [3, 3], array=0), id="value_shape-not-of-network"),
+        pytest.param(_set("value_shape", ["a"], array=0), id="mistyped-value_shape-entry"),
+        pytest.param(lambda h: h["arrays"].__setitem__(0, []), id="mistyped-descriptor"),
+    ]
+)
+
+
+@pytest.mark.parametrize("mutate", MALFORMED)
+def test_malformed_header_is_checkpoint_error(tmp_path, capsys, mutate):
+    path = TestCorruption().saved(tmp_path)
+    rewrite_header(path, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", path]) == 4
+    assert "runtime error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import gxnor.network
 from gxnor.cli import main
 from gxnor.config import RunConfig, read_metrics
 
@@ -87,6 +88,16 @@ class TestEval:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("test_accuracy="))
         assert float(line.split("=")[1]) == records[-1].test_accuracy
+
+
+    def test_packed_path_error_is_runtime_error(self, checkpoint, monkeypatch, capsys):
+        # An eligible checkpoint must run the packed path; a fault there is not
+        # hidden behind a float-only report.
+        def broken(*args, **kwargs):
+            raise ValueError("packed kernel fault")
+        monkeypatch.setattr(gxnor.network, "packed_dense_forward", broken)
+        assert run("eval", "--checkpoint", checkpoint) == 4
+        assert "packed kernel fault" in capsys.readouterr().err
 
 
 class TestSweep:

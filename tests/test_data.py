@@ -115,6 +115,13 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             Dataset(images=np.zeros((1, 1, 1, 1)), labels=np.array([5]), classes=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        images = np.zeros((2, 1, 1, 4))
+        images[1, 0, 0, 2] = bad
+        with pytest.raises(DataError, match="finite"):
+            Dataset(images=images, labels=np.zeros(2, dtype=int), classes=2)
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(DataError):
             Dataset(images=np.zeros((2, 1, 1, 1)), labels=np.array([0]), classes=2)

@@ -5,19 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gxnor import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    DiscreteSpace,
-    Flatten,
-    MaxPool2d,
-    PulseShape,
-    QuantAct,
-    SurrogateSpec,
-    quantize_activation,
-    svm_hinge_loss,
-)
+from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct, svm_hinge_loss
+from gxnor.spaces import DiscreteSpace, PulseShape, SurrogateSpec, quantize_activation
 
 TERNARY = DiscreteSpace(n=1, h=1.0)
 RECT = SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.5, r=0.5)

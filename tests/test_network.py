@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from gxnor import (
-    AdamOptimizer,
-    BatchNorm,
-    Conv2d,
-    Dense,
-    DstOptimizer,
-    Flatten,
-    MaxPool2d,
-    QuantAct,
+from gxnor.data import Dataset, synthetic_blobs
+from gxnor.dst import AdamOptimizer, DstOptimizer
+from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct
+from gxnor.network import (
     activation_zero_fractions,
     build_network,
     evaluate,
     fit,
+    packed_eligible,
     packed_evaluate,
-    synthetic_blobs,
     train_step,
 )
 
@@ -239,6 +234,14 @@ class TestPackedInference:
             ternary_in = isinstance(layer, QuantAct)
         assert seen_hidden_dense
 
+    def test_eligibility_is_ternary_unit_dense_only(self):
+        shape = dict(input_shape=(1, 1, 16), classes=4)
+        assert packed_eligible(build_network("mlp-16-8-4", **shape))
+        assert not packed_eligible(build_network("mlp-16-8-4", n1=2, r=0.1, a=0.2, **shape))
+        assert not packed_eligible(build_network("mlp-16-8-4", h=2.0, **shape))
+        assert not packed_eligible(
+            build_network("conv-2c3-4fc", input_shape=(1, 6, 6), classes=3))
+
     def test_rejects_multilevel_grids(self):
         net = build_network("mlp-16-8-4", input_shape=(1, 1, 16), classes=4, n1=2,
                             r=0.1, a=0.2)
@@ -250,7 +253,6 @@ class TestPackedInference:
         net = build_network("conv-2c3-4fc", input_shape=(1, 6, 6), classes=3)
         data = synthetic_blobs(n=20, classes=3, dim=36, seed=82)
         images = data.images.reshape(20, 1, 6, 6)
-        from gxnor import Dataset
         square = Dataset(images=images, labels=data.labels, classes=3)
         with pytest.raises(ValueError):
             packed_evaluate(net, square)
