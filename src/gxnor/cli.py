@@ -22,7 +22,6 @@ from .data import DataError, fetch_mnist, resolve_dataset
 from .kernel import Architecture, count_ops
 from .layers import Conv2d, Dense
 from .network import (
-    activation_zero_fractions,
     build_network,
     evaluate,
     fit,
@@ -132,8 +131,10 @@ def cmd_train(args) -> int:
         so_far.append(rec)
         write_metrics(metrics_path, config, so_far)
     net, records = _train_once(config, train_ds, test_ds, on_epoch=persist)
-    fractions = activation_zero_fractions(net, test_ds)
-    save_checkpoint(ckpt_path, net, config, activation_zero_fractions=fractions)
+    # The last epoch's test-set pass ran on the final weights, so its
+    # per-layer zero fractions are the trained model's.
+    save_checkpoint(ckpt_path, net, config,
+                    activation_zero_fractions=list(records[-1].zero_fractions))
     print(f"wrote {metrics_path} and {ckpt_path}")
     print(f"final test_accuracy={records[-1].test_accuracy!r}")
     return 0

@@ -125,8 +125,10 @@ class MetricsRecord:
     """One epoch of training as observed from the outside.
 
     ``sparsity`` is the mean fraction of zero activations across quantized
-    layers, measured during the test-set evaluation.  ``wall_time`` is the
-    epoch duration in seconds; it is reported but never persisted.
+    layers, measured during the test-set evaluation, and ``zero_fractions``
+    holds that fraction for each quantized layer.  ``wall_time`` is the epoch
+    duration in seconds.  Neither ``zero_fractions`` nor ``wall_time`` is
+    written to the metrics file.
     """
 
     epoch: int
@@ -134,6 +136,7 @@ class MetricsRecord:
     test_accuracy: float
     sparsity: float
     wall_time: float = 0.0
+    zero_fractions: tuple[float, ...] = ()
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -7,6 +7,13 @@ grid range, splits it into whole grid steps plus a fractional remainder, and
 resolves the remainder stochastically: with probability ``tanh(m |rem| / dz)``
 the weight hops one extra step in the increment's direction.
 
+Only a small fraction of weights can move in a step, so the projection draws
+one uniform ``u`` per weight but evaluates the law only where
+``u < m |dw| / dz`` or ``|dw| >= dz``.  Elsewhere ``|dw| < dz`` leaves no whole
+step, and ``tanh(x) <= x`` keeps the hop probability below ``u``, so those
+weights stay put exactly as the full law would leave them (see
+:func:`project_transition_array`).
+
 Randomness comes from counter-based Philox streams so trajectories are
 reproducible per seed regardless of update scheduling.
 """
@@ -22,6 +29,7 @@ from .spaces import DiscreteSpace
 __all__ = [
     "DstHyper",
     "boundary_restrict",
+    "transition_law",
     "project_transition_array",
     "lr_schedule",
     "GridParam",
@@ -48,36 +56,79 @@ def boundary_restrict(w, dw, space: DiscreteSpace):
     return out if out.ndim else float(out)
 
 
+def transition_law(w: np.ndarray, dw: np.ndarray, hyper: DstHyper):
+    """Clamp, split and hop probability of increments ``dw`` at grid weights ``w``.
+
+    The clamped increment ``v`` (see :func:`boundary_restrict`) splits into
+    whole grid steps and a remainder.  Rounding is toward zero, so
+    ``steps * dz + rem == v`` (to float tolerance) with ``|rem| < dz`` and
+    ``rem`` carrying the sign of ``v`` (or zero).  The extra one-step hop in
+    ``v``'s direction has probability ``prob = tanh(m |rem| / dz)``.
+
+    Returns ``(v, steps, rem, prob)``.
+    """
+    dz = hyper.space.dz
+    v = boundary_restrict(w, dw, hyper.space)
+    rem = np.fmod(v, dz)
+    steps = np.rint((v - rem) / dz).astype(np.int64)
+    prob = np.tanh(hyper.m * np.abs(rem) / dz)
+    return v, steps, rem, prob
+
+
 def project_transition_array(
     w: np.ndarray,
     dw: np.ndarray,
     hyper: DstHyper,
     rng: np.random.Generator,
 ):
-    """Vectorized stochastic projection of increments onto the grid.
+    """Stochastic projection of increments ``dw`` onto the grid from grid weights ``w``.
 
-    The clamped increment ``v`` splits into whole grid steps and a remainder.
-    Rounding is toward zero, so ``steps * dz + rem == v`` (to float tolerance)
-    with ``|rem| < dz`` and ``rem`` carrying the sign of ``v`` (or zero).  The
-    extra one-step hop in ``v``'s direction has probability
-    ``tanh(m |rem| / dz)``.
+    Each weight takes its whole steps and then hops once more in ``v``'s
+    direction when its uniform draw ``u`` falls below the
+    :func:`transition_law` probability.  One ``u`` is drawn per weight, in
+    C order, whether or not the weight can move, so the stream consumed per
+    call depends only on the shape.
 
-    Returns ``(new_w, steps, rem, prob, moved_extra)``.  New weights are grid
-    members by construction: the update is carried out in grid-index space and
-    clipped to the valid index range (the clip only ever engages on
-    float-rounding edge cases at the range boundary).
+    Returns ``(new_w, moved)``: the new grid weights and where the extra hop
+    happened.  New weights are grid members by construction: the update is
+    carried out in grid-index space and clipped to the valid index range (the
+    clip only ever engages on float-rounding edge cases at the range boundary).
+
+    The law is evaluated only on the candidates ``(u < y) | (|dw| >= dz)``
+    with ``y = fl(fl(m |dw|) / dz)``; every other weight keeps its value.
+    This is exact.  Any other weight has ``|dw| < dz`` and ``u >= y``.  Its
+    clamped ``|v| <= |dw| < dz``, so ``steps = 0`` and ``rem = v``.  Rounding
+    is monotone, so ``fl(fl(m |rem|) / dz) <= y``, and ``fl(tanh(x)) <= x``
+    for ``x >= 0`` gives ``prob <= y <= u``: no hop, and the weight's index
+    stays where it was.  In the 784-200-200-10 MLP at lr = 0.01 on a ternary
+    grid, under 1 % of weights are candidates.
+
+    ``w`` and ``dw`` have the same shape and ``w`` holds grid values.  A NaN
+    increment is never a candidate, so its weight stays put;
+    :class:`DstOptimizer` rejects non-finite increments before they get here.
     """
     space = hyper.space
     dz = space.dz
-    v = boundary_restrict(w, dw, space)
-    rem = np.fmod(v, dz)
-    steps = np.rint((v - rem) / dz).astype(np.int64)
-    prob = np.tanh(hyper.m * np.abs(rem) / dz)
-    moved = rng.random(np.shape(v)) < prob
-    direction = np.where(v >= 0, 1, -1)
-    idx = space.index_of(w) + steps + moved * direction
-    new_w = space.states()[np.clip(idx, 0, space.num_states - 1)]
-    return new_w, steps, rem, prob, moved
+    w = np.asarray(w, dtype=float)
+    u = rng.random(w.shape)
+    y = np.abs(dw, dtype=float)
+    cand = y >= dz
+    y *= hyper.m
+    y /= dz
+    cand |= u < y
+    idx = np.flatnonzero(cand)
+    # Free the full-size scratch arrays before the result is built.
+    del y, cand
+    u = np.take(u, idx)
+    w_c = np.take(w, idx)
+    v, steps, _, prob = transition_law(w_c, np.take(dw, idx), hyper)
+    hop = u < prob
+    k = space.index_of(w_c) + steps + hop * np.where(v >= 0, 1, -1)
+    new_w = w.copy()
+    np.put(new_w, idx, space.states()[np.clip(k, 0, space.num_states - 1)])
+    moved = np.zeros(w.shape, dtype=bool)
+    np.put(moved, idx, hop)
+    return new_w, moved
 
 
 def lr_schedule(lr_start: float, lr_fin: float, epochs: int) -> float:
@@ -138,13 +189,29 @@ class AdamOptimizer:
     def step(self) -> None:
         for p in self.params:
             p.step += 1
-            p.m1 = self.beta1 * p.m1 + (1.0 - self.beta1) * p.grad
-            p.m2 = self.beta2 * p.m2 + (1.0 - self.beta2) * np.square(p.grad)
-            # The bias-corrected moments are temporaries of one expression, so
-            # they are freed before the increment is applied.
-            dw = -self.lr * (p.m1 / (1.0 - self.beta1**p.step)) / (
-                np.sqrt(p.m2 / (1.0 - self.beta2**p.step)) + self.eps)
-            self._apply(p, dw)
+            self._apply(p, self._increment(p))
+
+    def _increment(self, p: RealParam) -> np.ndarray:
+        """Update ``p``'s moments in place and return its bias-corrected increment.
+
+        One scratch array holds each temporary in turn (the scaled gradient, then
+        its scaled square, then the corrected second moment), and it is freed
+        before the increment is applied.
+        """
+        scratch = np.multiply(p.grad, 1.0 - self.beta1)
+        p.m1 *= self.beta1
+        p.m1 += scratch
+        np.square(p.grad, out=scratch)
+        scratch *= 1.0 - self.beta2
+        p.m2 *= self.beta2
+        p.m2 += scratch
+        dw = p.m1 / (1.0 - self.beta1**p.step)
+        dw *= -self.lr
+        np.divide(p.m2, 1.0 - self.beta2**p.step, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        dw /= scratch
+        return dw
 
     def _apply(self, p: RealParam, dw: np.ndarray) -> None:
         p.value = p.value + dw
@@ -161,4 +228,12 @@ class DstOptimizer(AdamOptimizer):
         self.m = m
 
     def _apply(self, p: GridParam, dw: np.ndarray) -> None:
-        p.value, *_ = project_transition_array(p.value, dw, DstHyper(p.space, self.m), p.rng)
+        if not np.isfinite(dw).all():
+            i = next(i for i, q in enumerate(self.params) if q is p)
+            raise ValueError(
+                f"non-finite DST increment for grid tensor {i} of shape {p.value.shape}")
+        new_w, _ = project_transition_array(p.value, dw, DstHyper(p.space, self.m), p.rng)
+        # The tensor keeps one buffer for its whole life.  Replacing it every
+        # step scattered long-lived blocks through the heap, and the process's
+        # peak RSS then moved by up to a dataset's size with allocation order.
+        p.value[...] = new_w

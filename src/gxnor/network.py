@@ -46,7 +46,6 @@ __all__ = [
     "build_network",
     "train_step",
     "evaluate",
-    "activation_zero_fractions",
     "packed_eligible",
     "packed_evaluate",
     "fit",
@@ -173,8 +172,9 @@ def train_step(net: Network, images: np.ndarray, labels: np.ndarray,
 
 
 def _inference_pass(net: Network, dataset: Dataset,
-                    batch_size: int) -> tuple[int, np.ndarray]:
-    """Float-path correct count and per-quantized-layer zero counts over a dataset."""
+                    batch_size: int = EVAL_BATCH) -> tuple[float, float, tuple[float, ...]]:
+    """Float-path accuracy, mean zero-activation fraction and per-quantized-layer
+    zero fractions over a dataset (inference mode)."""
     quant = net.quant_layers()
     zero = np.zeros(len(quant))
     correct = 0
@@ -185,26 +185,17 @@ def _inference_pass(net: Network, dataset: Dataset,
         correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
         for i, qa in enumerate(quant):
             zero[i] += qa.last_sparsity * (hi - lo)
-    return correct, zero
+    if n == 0:
+        return 0.0, 0.0, (0.0,) * len(quant)
+    sparsity = float(zero.mean() / n) if zero.size else 0.0
+    return correct / n, sparsity, tuple(float(z / n) for z in zero)
 
 
 def evaluate(net: Network, dataset: Dataset,
              batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Deterministic float-path accuracy and mean zero-activation fraction."""
-    n = len(dataset)
-    if n == 0:
-        return 0.0, 0.0
-    correct, zero = _inference_pass(net, dataset, batch_size)
-    sparsity = float(zero.mean() / n) if zero.size else 0.0
-    return correct / n, sparsity
-
-
-def activation_zero_fractions(net: Network, dataset: Dataset,
-                              batch_size: int = EVAL_BATCH) -> list[float]:
-    """Per-quantized-layer zero fraction over a dataset (inference mode)."""
-    n = len(dataset)
-    _, zero = _inference_pass(net, dataset, batch_size)
-    return [float(z / n) for z in zero] if n else [0.0] * len(zero)
+    accuracy, sparsity, _ = _inference_pass(net, dataset, batch_size)
+    return accuracy, sparsity
 
 
 def packed_eligible(net: Network) -> bool:
@@ -288,7 +279,7 @@ def fit(
         losses = []
         for images, labels in batches(train, batch_size, _shuffle_seed(seed, epoch)):
             losses.append(train_step(net, images, labels, grid_opt, real_opt))
-        accuracy, sparsity = evaluate(net, test)
+        accuracy, sparsity, fractions = _inference_pass(net, test)
         grid_opt.lr *= alpha
         real_opt.lr *= alpha
         record = MetricsRecord(
@@ -296,6 +287,7 @@ def fit(
             train_loss=float(np.mean(losses)) if losses else 0.0,
             test_accuracy=accuracy,
             sparsity=sparsity,
+            zero_fractions=fractions,
             wall_time=time.perf_counter() - t0,
         )
         records.append(record)

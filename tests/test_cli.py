@@ -3,11 +3,15 @@
 import logging
 import os
 
+import numpy as np
 import pytest
 
+import gxnor.layers
 import gxnor.network
+from gxnor.checkpoint import load_checkpoint
 from gxnor.cli import main
 from gxnor.config import RunConfig, read_metrics
+from gxnor.data import resolve_dataset
 
 FAST_BLOBS = RunConfig(
     architecture="mlp-16-32-4",
@@ -57,6 +61,41 @@ class TestTrain:
                    "--seed", "8") == 0
         read = lambda d: open(os.path.join(d, "metrics.csv"), "rb").read()
         assert read(out_a) != read(out_b)
+
+    def test_one_test_set_pass_per_epoch(self, config_path, tmp_path, monkeypatch):
+        # The checkpoint's per-layer zero fractions come from the last epoch's
+        # evaluation, not from one more pass over the test set.
+        forward = gxnor.network.Network.forward
+        eval_images = []
+
+        def counting(net, x, training=False):
+            if not training:
+                eval_images.append(len(x))
+            return forward(net, x, training)
+
+        monkeypatch.setattr(gxnor.network.Network, "forward", counting)
+        out = str(tmp_path / "out")
+        assert run("train", "--config", config_path, "--out-dir", out) == 0
+        _, test = resolve_dataset(FAST_BLOBS.dataset)
+        assert sum(eval_images) == FAST_BLOBS.epochs * len(test)
+        _, _, header = load_checkpoint(os.path.join(out, "model.gxnr"))
+        _, records = read_metrics(os.path.join(out, "metrics.csv"))
+        fractions = header["activation_zero_fractions"]
+        assert len(fractions) == 1
+        assert records[-1].sparsity == pytest.approx(np.mean(fractions))
+
+    def test_non_finite_increment_is_runtime_error(self, config_path, tmp_path,
+                                                    monkeypatch, capsys):
+        backward = gxnor.layers.Dense.backward
+
+        def poisoned(layer, grad):
+            out = backward(layer, grad)
+            layer.weight.grad[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(gxnor.layers.Dense, "backward", poisoned)
+        assert run("train", "--config", config_path, "--out-dir", str(tmp_path / "out")) == 4
+        assert "non-finite DST increment" in capsys.readouterr().err
 
     def test_growing_lr_warns(self, tmp_path, caplog):
         cfg = tmp_path / "grow.cfg"

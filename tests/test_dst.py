@@ -16,6 +16,7 @@ from gxnor.dst import (
     lr_schedule,
     param_stream,
     project_transition_array,
+    transition_law,
 )
 from gxnor.spaces import make_space
 
@@ -24,11 +25,42 @@ HYPER = DstHyper(space=TERNARY, m=3.0)
 
 
 def project_one(w, dw, hyper=HYPER, rng=None):
-    """One weight's projection: ``(new_w, steps, rem, prob, moved)`` as scalars."""
+    """One weight's law and projection: ``(new_w, steps, rem, prob, moved)`` as scalars."""
     rng = np.random.default_rng(0) if rng is None else rng
-    new_w, steps, rem, prob, moved = project_transition_array(
-        np.array([w], dtype=float), np.array([dw], dtype=float), hyper, rng)
+    w, dw = np.array([w], dtype=float), np.array([dw], dtype=float)
+    _, steps, rem, prob = transition_law(w, dw, hyper)
+    new_w, moved = project_transition_array(w, dw, hyper, rng)
     return float(new_w[0]), int(steps[0]), float(rem[0]), float(prob[0]), bool(moved[0])
+
+
+def dense_projection(w, dw, hyper, rng):
+    """Reference projection: the law evaluated on every weight, no candidate filter."""
+    space = hyper.space
+    dz = space.dz
+    v = np.where(dw >= 0, np.minimum(space.h - w, dw), np.maximum(-space.h - w, dw))
+    rem = np.fmod(v, dz)
+    steps = np.rint((v - rem) / dz).astype(np.int64)
+    prob = np.tanh(hyper.m * np.abs(rem) / dz)
+    moved = rng.random(np.shape(v)) < prob
+    idx = space.index_of(w) + steps + moved * np.where(v >= 0, 1, -1)
+    return space.states()[np.clip(idx, 0, space.num_states - 1)], moved
+
+
+def dense_dst_run(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference DST training: Adam moments rebuilt each step, then dense projections."""
+    hyper = DstHyper(space=space, m=m)
+    rngs = [param_stream(seed, i) for i in range(len(values))]
+    values = [v.copy() for v in values]
+    m1 = [np.zeros_like(v) for v in values]
+    m2 = [np.zeros_like(v) for v in values]
+    for step, step_grads in enumerate(grads, start=1):
+        for i, g in enumerate(step_grads):
+            m1[i] = beta1 * m1[i] + (1.0 - beta1) * g
+            m2[i] = beta2 * m2[i] + (1.0 - beta2) * np.square(g)
+            dw = -lr * (m1[i] / (1.0 - beta1**step)) / (
+                np.sqrt(m2[i] / (1.0 - beta2**step)) + eps)
+            values[i], _ = dense_projection(values[i], dw, hyper, rngs[i])
+    return values, m1, m2
 
 
 def split(v, dz):
@@ -150,8 +182,9 @@ class TestProjectTransition:
         # from -1 with dw = 1.5: one certain step, then +1 more w.p. tanh(1.5)
         tau = math.tanh(1.5)
         trials = 10**5
-        new_w, steps, rem, prob, moved = project_transition_array(
-            np.full(trials, -1.0), np.full(trials, 1.5), HYPER, np.random.default_rng(3))
+        w, dw = np.full(trials, -1.0), np.full(trials, 1.5)
+        _, steps, _, prob = transition_law(w, dw, HYPER)
+        new_w, _ = project_transition_array(w, dw, HYPER, np.random.default_rng(3))
         assert np.all(steps == 1)
         assert np.allclose(prob, tau)
         assert set(np.unique(new_w)) == {0.0, 1.0}
@@ -162,8 +195,9 @@ class TestProjectTransition:
         trials = 10**5
         w0, dw = 0.0, 0.6
         hyper = DstHyper(space=TERNARY, m=3.0)
-        new_w, steps, rem, prob, _ = project_transition_array(
-            np.full(trials, w0), np.full(trials, dw), hyper, np.random.default_rng(4))
+        w, inc = np.full(trials, w0), np.full(trials, dw)
+        _, steps, _, prob = transition_law(w, inc, hyper)
+        new_w, _ = project_transition_array(w, inc, hyper, np.random.default_rng(4))
         tau = float(prob[0])
         expected = steps[0] * TERNARY.dz + tau * TERNARY.dz
         sem = TERNARY.dz * math.sqrt(tau * (1 - tau) / trials)
@@ -201,6 +235,65 @@ class TestProjectTransition:
         b, *_ = project_transition_array(
             np.zeros(1000), np.full(1000, 0.4), HYPER, param_stream(9, 1))
         assert not np.array_equal(a1, b)
+
+
+@st.composite
+def projection_cases(draw):
+    """Grid weights (often at +-H) and increments from 1e-3 to 1e3 in size, with +-inf."""
+    space = make_space(draw(st.sampled_from([0, 1, 2, 4, 6])),
+                       draw(st.sampled_from([1.0, 0.7, 0.3])))
+    m = draw(st.floats(min_value=0.1, max_value=10.0))
+    size = draw(st.integers(min_value=0, max_value=64))
+    top = space.num_states - 1
+    index = st.one_of(st.sampled_from([0, top]), st.integers(min_value=0, max_value=top))
+    magnitude = st.one_of(st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+                          st.sampled_from([0.0, math.inf]))
+    signed = st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+    w = space.states()[draw(st.lists(index, min_size=size, max_size=size))]
+    dw = np.array(draw(st.lists(signed, min_size=size, max_size=size)), dtype=float)
+    return DstHyper(space=space, m=m), w, dw, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestCandidateFilter:
+    """The projection evaluates the law only where a weight can move; it must
+    still equal the law evaluated everywhere, draw for draw."""
+
+    @staticmethod
+    def assert_same(got, want):
+        (new_w, moved), (ref_w, ref_moved) = got, want
+        assert np.array_equal(new_w, ref_w)
+        assert np.array_equal(np.signbit(new_w), np.signbit(ref_w))
+        assert np.array_equal(moved, ref_moved)
+
+    @settings(deadline=None)
+    @given(case=projection_cases())
+    def test_matches_dense_projection(self, case):
+        hyper, w, dw, seed = case
+        self.assert_same(
+            project_transition_array(w, dw, hyper, np.random.Generator(np.random.Philox(seed))),
+            dense_projection(w, dw, hyper, np.random.Generator(np.random.Philox(seed))))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
+    def test_matches_dense_projection_on_many_weights(self, n):
+        space = make_space(n, 0.7)
+        g = np.random.default_rng(40 + n)
+        w = space.states()[g.integers(0, space.num_states, (500, 400))]
+        dw = g.choice([-1.0, 1.0], w.shape) * 10.0 ** g.uniform(-3, 3, w.shape)
+        for m in (0.3, 3.0):
+            hyper = DstHyper(space=space, m=m)
+            self.assert_same(project_transition_array(w, dw, hyper, param_stream(8, n)),
+                             dense_projection(w, dw, hyper, param_stream(8, n)))
+
+    def test_tanh_never_exceeds_its_argument(self):
+        # A weight with u >= fl(fl(m |dw|) / dz) is skipped because fl(tanh(y)) <= y.
+        # If this platform's tanh broke that bound, skipped weights could have hopped.
+        y = np.logspace(-300, 1, 300001)
+        assert np.all(np.tanh(y) <= y)
+
+    def test_nan_increment_leaves_weight_in_place(self):
+        new_w, moved = project_transition_array(
+            np.array([-1.0, 0.0, 1.0]), np.full(3, np.nan), HYPER, np.random.default_rng(0))
+        assert np.array_equal(new_w, [-1.0, 0.0, 1.0]) and not moved.any()
 
 
 class TestAdam:
@@ -280,6 +373,26 @@ class TestOptimizers:
         assert np.array_equal(grid.m1, real.m1) and np.array_equal(grid.m2, real.m2)
         assert np.isin(grid.value, TERNARY.states()).all()
 
+    def test_matches_dense_reference_over_30_steps(self):
+        space = make_space(2, 0.7)
+        g = np.random.default_rng(21)
+        shapes = [(12, 9), (5, 12)]
+        init = [space.states()[g.integers(0, space.num_states, s)] for s in shapes]
+        grads = [[g.normal(0, 1, s) * 10.0 ** g.uniform(-3, 3, s) for s in shapes]
+                 for _ in range(30)]
+        params = [GridParam(value=v.copy(), space=space, rng=param_stream(5, i))
+                  for i, v in enumerate(init)]
+        opt = DstOptimizer(params, m=3.0, lr=0.05)
+        for step_grads in grads:
+            for p, grad in zip(params, step_grads):
+                p.grad = grad
+            opt.step()
+        values, m1, m2 = dense_dst_run(init, grads, space, m=3.0, lr=0.05, seed=5)
+        for p, v, a, b, v0 in zip(params, values, m1, m2, init):
+            assert np.array_equal(p.value, v)
+            assert np.array_equal(p.m1, a) and np.array_equal(p.m2, b)
+            assert not np.array_equal(p.value, v0)
+
     def test_identical_seeds_identical_trajectories(self):
         def run():
             space = make_space(1, 1.0)
@@ -301,6 +414,16 @@ class TestValidation:
         for m in (0.0, -1.0):
             with pytest.raises(ValueError):
                 DstOptimizer([p], m=m)
+
+    def test_non_finite_increment_names_the_tensor(self):
+        params = [GridParam(value=np.zeros(3), space=TERNARY, rng=param_stream(1, i))
+                  for i in range(2)]
+        opt = DstOptimizer(params)
+        for bad in (np.nan, np.inf, -np.inf):
+            params[0].grad = np.ones(3)
+            params[1].grad = np.array([0.5, bad, 0.5])
+            with pytest.raises(ValueError, match="grid tensor 1 of shape"):
+                opt.step()
 
     def test_optimizers_reject_bad_betas(self):
         for bad in (dict(beta1=1.0), dict(beta1=0.0), dict(beta2=1.0), dict(beta2=-0.5)):

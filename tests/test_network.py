@@ -7,7 +7,6 @@ from gxnor.data import Dataset, synthetic_blobs
 from gxnor.dst import AdamOptimizer, DstOptimizer
 from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct
 from gxnor.network import (
-    activation_zero_fractions,
     build_network,
     evaluate,
     fit,
@@ -175,12 +174,12 @@ class TestEvaluate:
     def trained_net(self):
         train = synthetic_blobs(n=500, classes=4, dim=16, seed=61)
         net = build_network("mlp-16-32-4", input_shape=(1, 1, 16), classes=4, seed=9)
-        fit(net, train, train, epochs=3, batch_size=50, lr_start=0.01,
-            lr_fin=0.001, seed=9)
-        return net, train
+        records = fit(net, train, train, epochs=3, batch_size=50, lr_start=0.01,
+                      lr_fin=0.001, seed=9)
+        return net, train, records
 
     def test_evaluate_is_pure_and_deterministic(self):
-        net, data = self.trained_net()
+        net, data, _ = self.trained_net()
         before = [p.value.copy() for p in net.grid_params()]
         first = evaluate(net, data)
         second = evaluate(net, data)
@@ -189,15 +188,18 @@ class TestEvaluate:
             assert np.array_equal(p.value, b)
 
     def test_batch_size_does_not_change_result(self):
-        net, data = self.trained_net()
+        net, data, _ = self.trained_net()
         assert evaluate(net, data, batch_size=7) == evaluate(net, data, batch_size=500)
 
     def test_zero_fractions_per_layer(self):
-        net, data = self.trained_net()
-        fractions = activation_zero_fractions(net, data)
+        # fit's last evaluation ran on the final weights, so its per-layer
+        # fractions describe the trained model.
+        net, data, records = self.trained_net()
+        fractions = records[-1].zero_fractions
         assert len(fractions) == len(net.quant_layers())
         assert all(0.0 <= f <= 1.0 for f in fractions)
         _, sparsity = evaluate(net, data)
+        assert records[-1].sparsity == sparsity
         assert sparsity == pytest.approx(np.mean(fractions))
 
 
