@@ -22,7 +22,7 @@ from math import prod
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .kernel import WORD_BITS, PackedMatrix, pack_ternary_matrix, unpack_ternary_matrix
+from .kernel import WORD_BITS, PackedTernary, pack_ternary_matrix, unpack_ternary
 from .layers import BatchNorm, Conv2d, Dense
 from .network import Network, build_network
 
@@ -207,7 +207,7 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
             if space.n == 1:
                 length = prod(shape[1:])
                 planes_shape = (shape[0], (length + WORD_BITS - 1) // WORD_BITS)
-                planes = PackedMatrix(
+                planes = PackedTernary(
                     length=length,
                     mask=grab(f"layer{i}.weight.mask", planes_shape),
                     sign=grab(f"layer{i}.weight.sign", planes_shape),
@@ -216,7 +216,7 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
                 if value_shape != list(shape):
                     raise CheckpointError(
                         f"{path}: layer {i} weight shape {value_shape} should be {list(shape)}")
-                layer.weight.value = (unpack_ternary_matrix(planes) * space.h).reshape(shape)
+                layer.weight.value = (unpack_ternary(planes) * space.h).reshape(shape)
             else:
                 idx = grab(f"layer{i}.weight", shape).astype(np.int64)
                 if idx.size and idx.max() >= space.num_states:

@@ -20,7 +20,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, write_metrics, write_sweep_table
 from .data import DataError, fetch_mnist, resolve_dataset
 from .kernel import Architecture, count_ops
-from .layers import Conv2d, Dense
+from .layers import Conv2d, Dense, QuantAct
 from .network import (
     build_network,
     evaluate,
@@ -225,7 +225,7 @@ def cmd_costmodel(args) -> int:
             fan_in = layer.in_channels * layer.kernel_size**2
             w = layer.weight.value
         else:
-            if layer.__class__.__name__ == "QuantAct" and quant_seen < len(fractions):
+            if isinstance(layer, QuantAct) and quant_seen < len(fractions):
                 zero = fractions[quant_seen]
                 a_dist = {0.0: zero, 1.0: (1 - zero) / 2, -1.0: (1 - zero) / 2}
                 quant_seen += 1

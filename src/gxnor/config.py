@@ -167,10 +167,7 @@ def read_metrics(path: str) -> tuple[dict[str, str], list[MetricsRecord]]:
         body = [line.rstrip("\n") for line in fh]
     rows = []
     for line in body:
-        if line.startswith("# ") and "=" in line:
-            key, value = line[2:].split("=", 1)
-            header[key.strip()] = value.strip()
-        elif line.startswith("#") and "=" in line:
+        if line.startswith("#") and "=" in line:
             key, value = line[1:].split("=", 1)
             header[key.strip()] = value.strip()
         elif line:

@@ -49,11 +49,13 @@ class DstHyper:
 
 
 def boundary_restrict(w, dw, space: DiscreteSpace):
-    """Clamp an increment so ``w + dw`` stays inside ``[-h, h]``."""
+    """Clamp an increment so ``w + dw`` stays inside ``[-h, h]``.
+
+    Works elementwise on arrays; scalars come back as 0-d arrays.
+    """
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    out = np.where(dw >= 0, np.minimum(space.h - w, dw), np.maximum(-space.h - w, dw))
-    return out if out.ndim else float(out)
+    return np.where(dw >= 0, np.minimum(space.h - w, dw), np.maximum(-space.h - w, dw))
 
 
 def transition_law(w: np.ndarray, dw: np.ndarray, hyper: DstHyper):
@@ -105,7 +107,8 @@ def project_transition_array(
 
     ``w`` and ``dw`` have the same shape and ``w`` holds grid values.  A NaN
     increment is never a candidate, so its weight stays put;
-    :class:`DstOptimizer` rejects non-finite increments before they get here.
+    :class:`DstOptimizer` rejects non-finite gradients and Adam moments before
+    they get here.
     """
     space = hyper.space
     dz = space.dz
@@ -228,10 +231,14 @@ class DstOptimizer(AdamOptimizer):
         self.m = m
 
     def _apply(self, p: GridParam, dw: np.ndarray) -> None:
-        if not np.isfinite(dw).all():
+        # A finite second moment implies a finite increment.  The converse
+        # fails: a gradient of 1e160 squares to an infinite m2, and every later
+        # increment of that weight is then 0, freezing it without a trace.
+        if not np.isfinite(p.m2).all():
             i = next(i for i, q in enumerate(self.params) if q is p)
             raise ValueError(
-                f"non-finite DST increment for grid tensor {i} of shape {p.value.shape}")
+                f"non-finite DST increment for grid tensor {i} of shape {p.value.shape}"
+                " (its gradient or Adam second moment is not finite)")
         new_w, _ = project_transition_array(p.value, dw, DstHyper(p.space, self.m), p.rng)
         # The tensor keeps one buffer for its whole life.  Replacing it every
         # step scattered long-lived blocks through the heap, and the process's

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
 import numpy as np
 
@@ -24,11 +25,9 @@ __all__ = [
     "Architecture",
     "OpReport",
     "PackedTernary",
-    "PackedMatrix",
     "pack_ternary",
     "pack_ternary_matrix",
     "unpack_ternary",
-    "unpack_ternary_matrix",
     "gated_xnor_dot",
     "packed_dense_forward",
     "count_ops",
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 WORD_BITS = 64
+DENSE_CHUNK = 256  # input rows per block in packed_dense_forward
 
 
 class Architecture(Enum):
@@ -68,16 +68,11 @@ class OpReport:
 
 @dataclass(frozen=True)
 class PackedTernary:
-    """One ternary vector as mask/sign bit planes (little-endian 64-bit words)."""
+    """Ternary lanes as mask/sign bit planes (little-endian 64-bit words).
 
-    length: int
-    mask: np.ndarray
-    sign: np.ndarray
-
-
-@dataclass(frozen=True)
-class PackedMatrix:
-    """A stack of equally long packed ternary rows; planes have shape (rows, words)."""
+    The planes are ``(words,)`` for one vector and ``(rows, words)`` for a
+    stack of equally long rows.
+    """
 
     length: int
     mask: np.ndarray
@@ -85,102 +80,101 @@ class PackedMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self.mask.shape[0]
+        return prod(self.mask.shape[:-1])
 
 
-def _n_words(length: int) -> int:
-    return (length + WORD_BITS - 1) // WORD_BITS
+def _pack(v: np.ndarray) -> PackedTernary:
+    """Pack the last axis of a ternary array; the planes keep the leading axes."""
+    if not np.all((v == -1) | (v == 0) | (v == 1)):
+        raise ValueError("values must be ternary (-1, 0, or +1)")
+    *lead, length = v.shape
+    words = (length + WORD_BITS - 1) // WORD_BITS
+    # Pad lanes up to a word multiple, view each 64-lane group as one word.
+    bits = np.zeros((*lead, words, WORD_BITS), dtype=np.uint64)
+    lanes = bits.reshape(*lead, words * WORD_BITS)[..., :length]
+    weights = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
+
+    lanes[...] = v != 0
+    mask = (bits * weights).sum(axis=-1, dtype=np.uint64)
+    lanes[...] = v == 1
+    sign = (bits * weights).sum(axis=-1, dtype=np.uint64)
+    return PackedTernary(length=length, mask=mask, sign=sign)
 
 
-def pack_ternary_matrix(values) -> PackedMatrix:
+def pack_ternary_matrix(values) -> PackedTernary:
     """Pack a (rows, length) array of {-1, 0, +1} values into bit planes."""
     v = np.asarray(values)
     if v.ndim != 2 or v.shape[1] < 1:
         raise ValueError(f"expected a (rows, length) array, got shape {v.shape}")
-    if not np.all((v == -1) | (v == 0) | (v == 1)):
-        raise ValueError("values must be ternary (-1, 0, or +1)")
-    rows, length = v.shape
-    words = _n_words(length)
-    # Pad lanes up to a word multiple, view each 64-lane group as one word.
-    bits = np.zeros((rows, words * WORD_BITS), dtype=np.uint64)
-    weights = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
-
-    bits[:, :length] = v != 0
-    mask = (bits.reshape(rows, words, WORD_BITS) * weights).sum(axis=2, dtype=np.uint64)
-    bits[:, :length] = v == 1
-    sign = (bits.reshape(rows, words, WORD_BITS) * weights).sum(axis=2, dtype=np.uint64)
-    return PackedMatrix(length=length, mask=mask, sign=sign)
+    return _pack(v)
 
 
 def pack_ternary(values) -> PackedTernary:
     """Pack one ternary vector; ``unpack_ternary`` inverts it exactly."""
     v = np.asarray(values)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    m = pack_ternary_matrix(v[None, :])
-    return PackedTernary(length=m.length, mask=m.mask[0], sign=m.sign[0])
-
-
-def unpack_ternary_matrix(p: PackedMatrix) -> np.ndarray:
-    """Recover the int64 {-1, 0, +1} rows from a packed matrix."""
-    lanes = np.arange(p.length)
-    word = lanes // WORD_BITS
-    bit = (lanes % WORD_BITS).astype(np.uint64)
-    m = (p.mask[:, word] >> bit) & np.uint64(1)
-    s = (p.sign[:, word] >> bit) & np.uint64(1)
-    return np.where(m == 1, np.where(s == 1, 1, -1), 0).astype(np.int64)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
+    return _pack(v)
 
 
 def unpack_ternary(p: PackedTernary) -> np.ndarray:
-    """Recover the int64 {-1, 0, +1} vector from its bit planes."""
-    m = PackedMatrix(length=p.length, mask=p.mask[None, :], sign=p.sign[None, :])
-    return unpack_ternary_matrix(m)[0]
-
-
-def _popcount_sum(words: np.ndarray, axis=None):
-    return np.bitwise_count(words).sum(axis=axis, dtype=np.int64)
+    """Recover the int64 {-1, 0, +1} values, one row per plane row."""
+    lanes = np.arange(p.length)
+    word = lanes // WORD_BITS
+    bit = (lanes % WORD_BITS).astype(np.uint64)
+    m = (p.mask[..., word] >> bit) & np.uint64(1)
+    s = (p.sign[..., word] >> bit) & np.uint64(1)
+    return np.where(m == 1, np.where(s == 1, 1, -1), 0).astype(np.int64)
 
 
 def gated_xnor_dot(a: PackedTernary, b: PackedTernary) -> tuple[int, OpReport]:
-    """Exact ternary dot product via gate/XNOR/popcount.
+    """Exact ternary dot product of two vectors via gate/XNOR/popcount.
 
     Only lanes with both operands non-zero (open gates) do any work; the
-    report counts one XNOR per open gate and one bitcount per word.
+    report counts one XNOR per open gate and one bitcount per word.  The
+    words are walked as Python ints with ``int.bit_count``: on short vectors
+    that costs a fraction of the fixed overhead of NumPy ufunc calls.
     """
     if a.length != b.length:
         raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    gate = a.mask & b.mask
-    agree = ~(a.sign ^ b.sign)
-    active = int(_popcount_sum(gate))
-    result = 2 * int(_popcount_sum(agree & gate)) - active
+    active = agree = 0
+    for am, bm, asg, bsg in zip(a.mask.tolist(), b.mask.tolist(),
+                                a.sign.tolist(), b.sign.tolist()):
+        gate = am & bm
+        active += gate.bit_count()
+        agree += (~(asg ^ bsg) & gate).bit_count()
     report = OpReport(
         architecture=Architecture.GXNOR,
         xnor_ops=active,
-        bitcount_ops=len(gate),
+        bitcount_ops=len(a.mask),
         resting_fraction=1.0 - active / a.length,
     )
-    return result, report
+    return 2 * agree - active, report
 
 
-def packed_dense_forward(
-    x: PackedMatrix, w: PackedMatrix, chunk: int = 256
-) -> tuple[np.ndarray, OpReport]:
+def _popcount_sum(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+
+
+def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray, OpReport]:
     """All-pairs gated XNOR dot products: (batch, lanes) x (out, lanes).
 
     Returns the integer score matrix (batch, out) and one report aggregating
-    lane activity over every dot product, reduced in fixed row order.
+    lane activity over every dot product, reduced in fixed row order.  Input
+    rows go through in blocks of ``DENSE_CHUNK`` to bound the
+    (rows, out, words) temporaries.
     """
     if x.length != w.length:
         raise ValueError(f"fan-in mismatch: {x.length} vs {w.length}")
     batch, out = x.n_rows, w.n_rows
     scores = np.empty((batch, out), dtype=np.int64)
     total_active = 0
-    for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
+    for lo in range(0, batch, DENSE_CHUNK):
+        hi = min(lo + DENSE_CHUNK, batch)
         gate = x.mask[lo:hi, None, :] & w.mask[None, :, :]
         agree = ~(x.sign[lo:hi, None, :] ^ w.sign[None, :, :])
-        active = _popcount_sum(gate, axis=2)
-        scores[lo:hi] = 2 * _popcount_sum(agree & gate, axis=2) - active
+        active = _popcount_sum(gate)
+        scores[lo:hi] = 2 * _popcount_sum(agree & gate) - active
         total_active += int(active.sum())
     lanes = batch * out * x.length
     report = OpReport(

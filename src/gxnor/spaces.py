@@ -4,7 +4,8 @@ A grid with state parameter ``n`` holds ``2**n + 1`` evenly spaced values on
 ``[-h, h]`` (two endpoint values for ``n = 0``).  Quantizers map reals onto the
 grid; because the quantizers are step functions, backpropagation uses bounded
 pulse surrogates in place of their impulse-train derivative.  Every function
-here is pure and accepts scalars or numpy arrays elementwise.
+here is pure and works elementwise on numpy arrays; a scalar input comes back
+as a 0-d array.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "quantize_activation",
     "surrogate_rect",
     "surrogate_tri",
-    "surrogate_multilevel",
     "surrogate_activation",
 ]
 
@@ -103,24 +103,22 @@ def quantize_ternary(x, r: float):
     The band is closed: ``|x| == r`` maps to 0.
     """
     x = np.asarray(x, dtype=float)
-    out = np.where(x > r, 1.0, np.where(x < -r, -1.0, 0.0))
-    return out if out.ndim else float(out)
+    return np.where(x > r, 1.0, np.where(x < -r, -1.0, 0.0))
 
 
 def quantize_binary(x, h: float = 1.0):
     """Two-state quantizer: ``+h`` for ``x >= 0``, ``-h`` otherwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0, h, -h)
-    return out if out.ndim else float(out)
+    return np.where(np.asarray(x, dtype=float) >= 0, h, -h)
 
 
 def quantize_multilevel(x, space: DiscreteSpace, r: float):
     """Map reals onto the grid through a dead zone and uniform outer bands.
 
-    ``|x| < r`` maps to 0.  Beyond the dead zone, ``[r, h]`` splits into
-    ``2**(n-1)`` equal bands; band ``w`` maps to the grid value ``w * dz``
-    with the sign of ``x``.  Band edges belong to the higher band, and
-    ``|x| > h`` saturates to the endpoint values.
+    ``|x| <= r`` maps to 0, as in :func:`quantize_ternary`.  Beyond the dead
+    zone, ``(r, h]`` splits into ``2**(n-1)`` equal bands; band ``w`` maps to
+    the grid value ``w * dz`` with the sign of ``x``.  Edges between bands
+    belong to the higher band, and ``|x| > h`` saturates to the endpoint
+    values.
     """
     if space.n < 1:
         raise ValueError("multilevel quantizer requires a grid with n >= 1")
@@ -131,8 +129,7 @@ def quantize_multilevel(x, space: DiscreteSpace, r: float):
     band = (space.h - r) / half_levels
     ax = np.abs(x)
     level = np.clip(np.floor((ax - r) / band) + 1, 1, half_levels).astype(np.int64)
-    out = np.where(ax < r, 0.0, np.sign(x) * ((level / half_levels) * space.h))
-    return out if out.ndim else float(out)
+    return np.where(ax <= r, 0.0, np.sign(x) * ((level / half_levels) * space.h))
 
 
 def quantize_activation(x, space: DiscreteSpace, r: float):
@@ -151,9 +148,23 @@ def quantize_activation(x, space: DiscreteSpace, r: float):
     return quantize_multilevel(x, space, r)
 
 
-def _pulse_sum(ax: np.ndarray, centers, scale: float, spec: SurrogateSpec) -> np.ndarray:
-    """Sum of pulses in ``|x|``, one per center, each of integral ``scale``."""
-    a = spec.a
+def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
+    """Surrogate derivative matching :func:`quantize_activation`.
+
+    One pulse in ``|x|`` per quantizer step, each integrating to the step
+    height ``dz``.  A binary grid has one step, at the sign flip, so its
+    pulse is centered at 0.  For ``n >= 1`` the centers are the step
+    locations of :func:`quantize_multilevel` for the window ``spec.r``: the
+    dead-zone edge and the inner edges of the outer bands.
+    """
+    if space.n == 0:
+        centers = [0.0]
+    else:
+        half_levels = 2 ** (space.n - 1)
+        band = (space.h - spec.r) / half_levels
+        centers = spec.r + band * np.arange(half_levels)
+    ax = np.abs(np.asarray(x, dtype=float))
+    a, scale = spec.a, space.dz
     out = np.zeros_like(ax)
     for c in centers:
         if spec.shape is PulseShape.RECTANGULAR:
@@ -167,49 +178,18 @@ def _pulse_sum(ax: np.ndarray, centers, scale: float, spec: SurrogateSpec) -> np
     return out
 
 
+_UNIT_TERNARY = DiscreteSpace(n=1)
+
+
 def surrogate_rect(x, spec: SurrogateSpec):
     """Rectangular pulse of height ``1/(2a)`` on ``r-a <= |x| <= r+a``."""
     if spec.shape is not PulseShape.RECTANGULAR:
         raise ValueError("spec must be rectangular")
-    x = np.asarray(x, dtype=float)
-    out = _pulse_sum(np.abs(x), [spec.r], 1.0, spec)
-    return out if out.ndim else float(out)
+    return surrogate_activation(x, _UNIT_TERNARY, spec)
 
 
 def surrogate_tri(x, spec: SurrogateSpec):
     """Triangular pulse peaking at ``1/a`` for ``|x| = r``, feet at ``r -/+ a``."""
     if spec.shape is not PulseShape.TRIANGULAR:
         raise ValueError("spec must be triangular")
-    x = np.asarray(x, dtype=float)
-    out = _pulse_sum(np.abs(x), [spec.r], 1.0, spec)
-    return out if out.ndim else float(out)
-
-
-def surrogate_multilevel(x, space: DiscreteSpace, spec: SurrogateSpec):
-    """One pulse per quantizer step, each integrating to the step height ``dz``.
-
-    Centers sit at the step locations of :func:`quantize_multilevel` for the
-    same window ``spec.r``.  With ``n = 1`` and ``h = 1`` this reduces exactly
-    to :func:`surrogate_rect` / :func:`surrogate_tri`.
-    """
-    if space.n < 1:
-        raise ValueError("multilevel surrogate requires a grid with n >= 1")
-    x = np.asarray(x, dtype=float)
-    half_levels = 2 ** (space.n - 1)
-    band = (space.h - spec.r) / half_levels
-    centers = spec.r + band * np.arange(half_levels)
-    out = _pulse_sum(np.abs(x), centers, space.dz, spec)
-    return out if out.ndim else float(out)
-
-
-def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
-    """Surrogate derivative matching :func:`quantize_activation`.
-
-    Binary grids get a single pulse centered at the sign flip, integrating to
-    the full step ``dz = 2h``.
-    """
-    x = np.asarray(x, dtype=float)
-    if space.n == 0:
-        out = _pulse_sum(np.abs(x), [0.0], space.dz, spec)
-        return out if out.ndim else float(out)
-    return surrogate_multilevel(x, space, spec)
+    return surrogate_activation(x, _UNIT_TERNARY, spec)

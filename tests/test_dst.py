@@ -425,6 +425,17 @@ class TestValidation:
             with pytest.raises(ValueError, match="grid tensor 1 of shape"):
                 opt.step()
 
+    def test_overflowing_gradient_is_rejected(self):
+        # 1e160 squares to inf: the second moment overflows while the
+        # increment is a finite 0, so the weight would freeze silently.
+        params = [GridParam(value=np.zeros(3), space=TERNARY, rng=param_stream(1, i))
+                  for i in range(2)]
+        opt = DstOptimizer(params)
+        params[0].grad = np.ones(3)
+        params[1].grad = np.array([0.5, 1e160, 0.5])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="grid tensor 1 of shape"):
+            opt.step()
+
     def test_optimizers_reject_bad_betas(self):
         for bad in (dict(beta1=1.0), dict(beta1=0.0), dict(beta2=1.0), dict(beta2=-0.5)):
             with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from gxnor.kernel import (
     packed_dense_forward,
     uniform_ternary,
     unpack_ternary,
-    unpack_ternary_matrix,
 )
 
 ternary_vec = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200)
@@ -43,7 +42,7 @@ class TestPacking:
     def test_bulk_round_trip(self):
         rng = np.random.default_rng(1)
         rows = rng.integers(-1, 2, (10**5, 64))
-        assert np.array_equal(unpack_ternary_matrix(pack_ternary_matrix(rows)), rows)
+        assert np.array_equal(unpack_ternary(pack_ternary_matrix(rows)), rows)
 
     def test_rejects_non_ternary(self):
         with pytest.raises(ValueError):

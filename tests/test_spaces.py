@@ -14,7 +14,6 @@ from gxnor.spaces import (
     quantize_multilevel,
     quantize_ternary,
     surrogate_activation,
-    surrogate_multilevel,
     surrogate_rect,
     surrogate_tri,
 )
@@ -116,10 +115,17 @@ class TestMultilevelQuantizer:
         assert np.all(np.diff(q) >= -0.0)
 
     def test_agrees_with_ternary(self):
-        x = np.random.default_rng(2).uniform(-3, 3, 10**6)
+        ties = [-0.5, 0.5, np.nextafter(0.5, 1.0), -np.nextafter(0.5, 1.0)]
+        x = np.concatenate([np.random.default_rng(2).uniform(-3, 3, 10**6), ties])
         space = make_space(1, 1.0)
         assert np.array_equal(quantize_multilevel(x, space, 0.5),
                               quantize_ternary(x, 0.5))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_edge_is_dead_zone(self, n):
+        r = 0.3
+        q = quantize_multilevel(np.array([-r, r]), make_space(n, 1.0), r)
+        assert q.tolist() == [0.0, 0.0]
 
     def test_rejects_window_at_or_beyond_h(self):
         with pytest.raises(ValueError):
@@ -168,10 +174,18 @@ class TestSurrogates:
             assert abs(width - 2 * a) <= 2 * (x[1] - x[0])
 
     def test_multilevel_reduces_to_ternary(self):
+        # On the unit ternary grid the activation surrogate is one pulse at r:
+        # 1/(2a) on [r-a, r+a], or the triangle rising to 1/a there.
         x = np.random.default_rng(3).uniform(-3, 3, 10**5)
         space = make_space(1, 1.0)
-        assert np.array_equal(surrogate_multilevel(x, space, RECT), surrogate_rect(x, RECT))
-        assert np.array_equal(surrogate_multilevel(x, space, TRI), surrogate_tri(x, TRI))
+        r, a = RECT.r, RECT.a
+        ax = np.abs(x)
+        rect = np.where(np.abs(ax - r) <= a, 1 / (2 * a), 0.0)
+        tri = np.maximum(0.0, (a - np.abs(ax - r)) / a**2)
+        assert np.array_equal(surrogate_activation(x, space, RECT), rect)
+        assert np.allclose(surrogate_activation(x, space, TRI), tri, rtol=0, atol=1e-12)
+        assert np.array_equal(surrogate_rect(x, RECT), rect)
+        assert np.allclose(surrogate_tri(x, TRI), tri, rtol=0, atol=1e-12)
 
     def test_multilevel_center_count(self):
         # N=2, H=1, r=0.1: the positive axis has two upward steps, so the
@@ -179,13 +193,13 @@ class TestSurrogates:
         space = make_space(2, 1.0)
         spec = SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.05, r=0.1)
         x = np.linspace(0, 1.2, 100001)
-        inside = surrogate_multilevel(x, space, spec) > 0
+        inside = surrogate_activation(x, space, spec) > 0
         runs = int(np.count_nonzero(np.diff(inside.astype(int)) == 1) + inside[0])
         assert runs == 2
 
     def test_far_outside_support(self):
         space = make_space(2, 1.0)
-        assert surrogate_multilevel(50.0, space, RECT) == 0.0
+        assert surrogate_activation(50.0, space, RECT) == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
     @pytest.mark.parametrize("spec", [RECT, TRI])
