@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 WORD_BITS = 64
-DENSE_CHUNK = 256  # input rows per block in packed_dense_forward
+DENSE_CHUNK = 128  # input rows per block in packed_dense_forward
 
 
 class Architecture(Enum):
@@ -46,13 +47,13 @@ class Architecture(Enum):
     GXNOR = "gxnor"
 
 
-@dataclass(frozen=True)
-class OpReport:
+class OpReport(NamedTuple):
     """Operation counts for one dot product, layer, or expected-cost query.
 
     Counts are exact non-negative integers on measured paths and expected
     values (possibly fractional) from the cost model.  ``resting_fraction``
-    is the share of lanes whose compute unit never wakes up.
+    is the share of lanes whose compute unit never wakes up.  A named tuple,
+    because ``gated_xnor_dot`` builds one per call.
     """
 
     architecture: Architecture
@@ -89,16 +90,16 @@ def _pack(v: np.ndarray) -> PackedTernary:
         raise ValueError("values must be ternary (-1, 0, or +1)")
     *lead, length = v.shape
     words = (length + WORD_BITS - 1) // WORD_BITS
-    # Pad lanes up to a word multiple, view each 64-lane group as one word.
-    bits = np.zeros((*lead, words, WORD_BITS), dtype=np.uint64)
-    lanes = bits.reshape(*lead, words * WORD_BITS)[..., :length]
-    weights = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
+    # Lanes padded with zeros up to a word multiple; packbits puts lane i in
+    # bit i % 8 of byte i // 8, so eight bytes read little-endian make a word.
+    lanes = np.zeros((*lead, words * WORD_BITS), dtype=bool)
 
-    lanes[...] = v != 0
-    mask = (bits * weights).sum(axis=-1, dtype=np.uint64)
-    lanes[...] = v == 1
-    sign = (bits * weights).sum(axis=-1, dtype=np.uint64)
-    return PackedTernary(length=length, mask=mask, sign=sign)
+    def plane(bits):
+        lanes[..., :length] = bits
+        packed = np.packbits(lanes, axis=-1, bitorder="little").view("<u8")
+        return packed.astype(np.uint64)  # native byte order on any host
+
+    return PackedTernary(length=length, mask=plane(v != 0), sign=plane(v == 1))
 
 
 def pack_ternary_matrix(values) -> PackedTernary:
@@ -152,35 +153,45 @@ def gated_xnor_dot(a: PackedTernary, b: PackedTernary) -> tuple[int, OpReport]:
     return 2 * agree - active, report
 
 
-def _popcount_sum(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=2, dtype=np.int64)
-
-
 def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray, OpReport]:
     """All-pairs gated XNOR dot products: (batch, lanes) x (out, lanes).
 
     Returns the integer score matrix (batch, out) and one report aggregating
-    lane activity over every dot product, reduced in fixed row order.  Input
-    rows go through in blocks of ``DENSE_CHUNK`` to bound the
-    (rows, out, words) temporaries.
+    lane activity over every dot product.  Input rows go through in blocks
+    of ``DENSE_CHUNK``; within a block the loop runs over words, counting
+    each word's open gates and masked sign disagreements into ``(rows, out)``
+    int32 totals, so a score is ``active - 2 * disagree``.
     """
     if x.length != w.length:
         raise ValueError(f"fan-in mismatch: {x.length} vs {w.length}")
     batch, out = x.n_rows, w.n_rows
+    words = w.mask.shape[-1]
+    # Word-major copies: row j holds word j of every input or weight row.
+    w_mask, w_sign = w.mask.reshape(out, words).T.copy(), w.sign.reshape(out, words).T.copy()
+    x_mask, x_sign = x.mask.reshape(batch, words), x.sign.reshape(batch, words)
     scores = np.empty((batch, out), dtype=np.int64)
     total_active = 0
     for lo in range(0, batch, DENSE_CHUNK):
         hi = min(lo + DENSE_CHUNK, batch)
-        gate = x.mask[lo:hi, None, :] & w.mask[None, :, :]
-        agree = ~(x.sign[lo:hi, None, :] ^ w.sign[None, :, :])
-        active = _popcount_sum(gate)
-        scores[lo:hi] = 2 * _popcount_sum(agree & gate) - active
-        total_active += int(active.sum())
+        xm, xs = x_mask[lo:hi].T.copy(), x_sign[lo:hi].T.copy()
+        gate = np.empty((hi - lo, out), dtype=np.uint64)
+        disagree = np.empty_like(gate)
+        count = np.empty(gate.shape, dtype=np.uint8)
+        active = np.zeros(gate.shape, dtype=np.int32)
+        differ = np.zeros(gate.shape, dtype=np.int32)
+        for j in range(words):
+            np.bitwise_and(xm[j, :, None], w_mask[j], out=gate)
+            np.bitwise_xor(xs[j, :, None], w_sign[j], out=disagree)
+            disagree &= gate
+            active += np.bitwise_count(gate, out=count)
+            differ += np.bitwise_count(disagree, out=count)
+        np.subtract(active, 2 * differ, out=scores[lo:hi])
+        total_active += int(active.sum(dtype=np.int64))
     lanes = batch * out * x.length
     report = OpReport(
         architecture=Architecture.GXNOR,
         xnor_ops=total_active,
-        bitcount_ops=batch * out * x.mask.shape[1],
+        bitcount_ops=batch * out * words,
         resting_fraction=1.0 - total_active / lanes if lanes else 0.0,
     )
     return scores, report

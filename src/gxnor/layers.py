@@ -244,9 +244,13 @@ class BatchNorm(Layer):
         g = self.gamma.value.reshape(shape)
         b = self.beta.value.reshape(shape)
         if not training:
-            xhat = (x - self.running_mean.reshape(shape)) / np.sqrt(
-                self.running_var.reshape(shape) + self.eps)
-            return g * xhat + b
+            # (x - mean) / sqrt(var + eps) * gamma + beta, in place on one new
+            # array; x itself is never written.
+            out = x - self.running_mean.reshape(shape)
+            out /= np.sqrt(self.running_var.reshape(shape) + self.eps)
+            out *= g
+            out += b
+            return out
         n = x.size // self.num_features
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")

@@ -14,7 +14,8 @@ parameters, with the learning rate decaying by a fixed factor per epoch.
 
 ``evaluate`` runs the float path.  ``packed_evaluate`` reruns inference with
 bit-packed gated-XNOR dot products for every dense layer whose operands are
-exactly ternary, and must agree with the float path bit for bit.
+exactly ternary, and must agree with the float path bit for bit;
+``check_packed_scores`` checks that score matrix by score matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "evaluate",
     "packed_eligible",
     "packed_evaluate",
+    "check_packed_scores",
     "fit",
 ]
 
@@ -208,6 +210,43 @@ def packed_eligible(net: Network) -> bool:
     )
 
 
+def _packed_scores(net: Network, x: np.ndarray, packed_w: dict, tally: list) -> np.ndarray:
+    """One batch's class scores, every dense layer fed by a QuantAct on bit planes.
+
+    ``packed_w`` maps ``id(layer)`` to each dense layer's packed weights.  The
+    batch's open gates, bitcounts and lanes are added to ``tally``.
+    """
+    ternary_in = False
+    for layer in net.layers:
+        if isinstance(layer, Dense) and ternary_in:
+            scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
+            tally[0] += rep.xnor_ops
+            tally[1] += rep.bitcount_ops
+            tally[2] += len(x) * layer.out_features * layer.in_features
+            x = scores.astype(float)
+        else:
+            x = layer.forward(x, training=False)
+        ternary_in = isinstance(layer, QuantAct)
+    return x
+
+
+def _packed_weights(net: Network) -> dict:
+    if not packed_eligible(net):
+        raise ValueError("packed inference needs ternary unit-range weights and activations")
+    return {id(layer): pack_ternary_matrix(layer.weight.value)
+            for layer in net.layers if isinstance(layer, Dense)}
+
+
+def _tally_report(tally: list) -> OpReport:
+    xnor, bitcount, lanes = tally
+    return OpReport(
+        architecture=Architecture.GXNOR,
+        xnor_ops=xnor,
+        bitcount_ops=bitcount,
+        resting_fraction=1.0 - xnor / lanes if lanes else 0.0,
+    )
+
+
 def packed_evaluate(net: Network, dataset: Dataset,
                     batch_size: int = EVAL_BATCH) -> tuple[float, OpReport]:
     """Accuracy via gated-XNOR dot products wherever both operands are ternary.
@@ -216,39 +255,34 @@ def packed_evaluate(net: Network, dataset: Dataset,
     layer sees continuous pixels and stays on the float path.  Scores equal
     the float path exactly (integer-valued sums are exact in both).
     """
-    if not packed_eligible(net):
-        raise ValueError("packed inference needs ternary unit-range weights and activations")
-    packed_w = {
-        id(layer): pack_ternary_matrix(layer.weight.value)
-        for layer in net.layers if isinstance(layer, Dense)
-    }
+    packed_w = _packed_weights(net)
     n = len(dataset)
     correct = 0
-    total_xnor = 0
-    total_bitcount = 0
-    total_lanes = 0
+    tally = [0, 0, 0]
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        x = dataset.images[lo:hi]
-        ternary_in = False
-        for layer in net.layers:
-            if isinstance(layer, Dense) and ternary_in:
-                scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
-                x = scores.astype(float)
-                total_xnor += rep.xnor_ops
-                total_bitcount += rep.bitcount_ops
-                total_lanes += (hi - lo) * layer.out_features * layer.in_features
-            else:
-                x = layer.forward(x, training=False)
-            ternary_in = isinstance(layer, QuantAct)
-        correct += int((np.argmax(x, axis=1) == dataset.labels[lo:hi]).sum())
-    report = OpReport(
-        architecture=Architecture.GXNOR,
-        xnor_ops=total_xnor,
-        bitcount_ops=total_bitcount,
-        resting_fraction=1.0 - total_xnor / total_lanes if total_lanes else 0.0,
-    )
-    return correct / n if n else 0.0, report
+        scores = _packed_scores(net, dataset.images[lo:hi], packed_w, tally)
+        correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
+    return correct / n if n else 0.0, _tally_report(tally)
+
+
+def check_packed_scores(net: Network, dataset: Dataset,
+                        batch_size: int = EVAL_BATCH) -> OpReport:
+    """Run the packed and the float path batch by batch; their score matrices
+    must be equal.  Raises RuntimeError at the first batch where they differ,
+    else returns the packed path's report.
+    """
+    packed_w = _packed_weights(net)
+    n = len(dataset)
+    tally = [0, 0, 0]
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        images = dataset.images[lo:hi]
+        packed = _packed_scores(net, images, packed_w, tally)
+        if not np.array_equal(packed, net.forward(images, training=False)):
+            raise RuntimeError(
+                f"packed scores differ from float scores on images {lo}..{hi - 1}")
+    return _tally_report(tally)
 
 
 def _shuffle_seed(seed: int, epoch: int) -> np.random.Generator:

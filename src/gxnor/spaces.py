@@ -100,10 +100,13 @@ class SurrogateSpec:
 def quantize_ternary(x, r: float):
     """Three-way threshold: +1 above ``r``, -1 below ``-r``, 0 inside the band.
 
-    The band is closed: ``|x| == r`` maps to 0.
+    The band is closed: ``|x| == r`` maps to 0, and so does NaN.  Zeros are
+    +0.0.  ``r`` must be non-negative, so the two thresholds never overlap.
     """
+    if not r >= 0:
+        raise ValueError(f"window threshold must be non-negative, got {r}")
     x = np.asarray(x, dtype=float)
-    return np.where(x > r, 1.0, np.where(x < -r, -1.0, 0.0))
+    return np.subtract(x > r, x < -r, out=np.empty(x.shape), dtype=np.float64)
 
 
 def quantize_binary(x, h: float = 1.0):
@@ -144,7 +147,9 @@ def quantize_activation(x, space: DiscreteSpace, r: float):
         return quantize_binary(x, space.h)
     if space.n == 1:
         q = quantize_ternary(x, r)
-        return q * space.h if space.h != 1.0 else q
+        if space.h != 1.0:
+            q *= space.h
+        return q
     return quantize_multilevel(x, space, r)
 
 

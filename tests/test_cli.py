@@ -138,6 +138,24 @@ class TestEval:
         assert run("eval", "--checkpoint", checkpoint) == 4
         assert "packed kernel fault" in capsys.readouterr().err
 
+    def test_score_mismatch_with_equal_accuracy_is_runtime_error(self, checkpoint,
+                                                                 monkeypatch, capsys):
+        # One packed score moves by one without changing any row's argmax, so
+        # only a score-for-score comparison can see it.
+        kernel = gxnor.network.packed_dense_forward
+
+        def shifted(x, w):
+            scores, report = kernel(x, w)
+            scores[0, (np.argmax(scores[0]) + 1) % scores.shape[1]] -= 1
+            return scores, report
+
+        monkeypatch.setattr(gxnor.network, "packed_dense_forward", shifted)
+        net, config, _ = load_checkpoint(checkpoint)
+        _, test = resolve_dataset(config.dataset)
+        assert gxnor.network.packed_evaluate(net, test)[0] == gxnor.network.evaluate(net, test)[0]
+        assert run("eval", "--checkpoint", checkpoint) == 4
+        assert "packed scores differ from float scores" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_writes_sorted_table(self, config_path, tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gxnor.kernel import (
+    DENSE_CHUNK,
+    WORD_BITS,
     Architecture,
     OpReport,
     count_ops,
@@ -17,6 +19,21 @@ from gxnor.kernel import (
 )
 
 ternary_vec = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200)
+
+
+def sum_of_weights_planes(v):
+    """Reference packer: each word is the sum of its set lanes' powers of two."""
+    v = np.asarray(v)
+    *lead, length = v.shape
+    words = (length + WORD_BITS - 1) // WORD_BITS
+    bits = np.zeros((*lead, words, WORD_BITS), dtype=np.uint64)
+    lanes = bits.reshape(*lead, words * WORD_BITS)[..., :length]
+    weights = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
+    lanes[...] = v != 0
+    mask = (bits * weights).sum(axis=-1, dtype=np.uint64)
+    lanes[...] = v == 1
+    sign = (bits * weights).sum(axis=-1, dtype=np.uint64)
+    return mask, sign
 
 
 class TestPacking:
@@ -43,6 +60,18 @@ class TestPacking:
         rng = np.random.default_rng(1)
         rows = rng.integers(-1, 2, (10**5, 64))
         assert np.array_equal(unpack_ternary(pack_ternary_matrix(rows)), rows)
+
+    @pytest.mark.parametrize("rows,lanes", [(1, 1), (3, 63), (5, 64), (7, 65), (300, 200),
+                                            (2, 800), (0, 70)])
+    def test_planes_equal_sum_of_weights_packer(self, rows, lanes):
+        # Bit for bit, padding bits included, in native-endian uint64 words.
+        v = np.random.default_rng(rows * 1000 + lanes).integers(-1, 2, (rows, lanes))
+        for packed, ref in [(pack_ternary_matrix(v), sum_of_weights_planes(v)),
+                            *[(pack_ternary(row), sum_of_weights_planes(row)) for row in v[:3]]]:
+            for plane, expect in zip((packed.mask, packed.sign), ref):
+                assert plane.dtype == np.dtype(np.uint64) and plane.dtype.isnative
+                assert plane.shape == expect.shape
+                assert np.array_equal(plane, expect)
 
     def test_rejects_non_ternary(self):
         with pytest.raises(ValueError):
@@ -108,6 +137,23 @@ class TestPackedDenseForward:
         assert np.array_equal(scores, x @ w.T)
         open_lanes = int(((x != 0)[:, None, :] & (w != 0)[None, :, :]).sum())
         assert report.xnor_ops == open_lanes
+
+    @settings(max_examples=40, deadline=None)
+    @given(lanes=st.sampled_from([1, 63, 64, 65, 200, 800]),
+           rows=st.sampled_from([0, 1, DENSE_CHUNK - 1, DENSE_CHUNK, DENSE_CHUNK + 1,
+                                 2 * DENSE_CHUNK + 3]),
+           out=st.integers(min_value=1, max_value=12),
+           zero=st.sampled_from([0.0, 1 / 3, 0.9, 1.0]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_equals_matmul_across_words_and_chunks(self, lanes, rows, out, zero, seed):
+        rng = np.random.default_rng(seed)
+        draw = lambda shape: np.where(rng.random(shape) < zero, 0,
+                                      rng.choice([-1, 1], size=shape))
+        x, w = draw((rows, lanes)), draw((out, lanes))
+        scores, report = packed_dense_forward(pack_ternary_matrix(x), pack_ternary_matrix(w))
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, x @ w.T)
+        assert report.xnor_ops == int(((x != 0).astype(int) @ (w != 0).astype(int).T).sum())
 
     def test_identity_weights(self):
         eye = np.eye(8, dtype=int)

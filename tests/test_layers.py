@@ -299,6 +299,31 @@ class TestBatchNorm:
         y = layer.forward(np.array([[0.3]]), training=False)
         assert np.allclose(y, [[0.0]])
 
+    @pytest.mark.parametrize("shape", [(40, 3), (4, 3, 2, 5)])
+    def test_eval_equals_textbook_expression(self, shape):
+        # Same operations in the same order as (x - mean) / sqrt(var + eps) * g + b,
+        # bit for bit, and the input array is left as it was.
+        rng = np.random.default_rng(9)
+        layer = BatchNorm(3)
+        layer.gamma.value = np.array([1.7, -0.4, 0.0])
+        layer.beta.value = np.array([0.3, -2.0, 0.5])
+        layer.running_mean = rng.normal(size=3)
+        layer.running_var = rng.uniform(0.1, 4.0, size=3)
+        x = rng.normal(0, 3, size=shape)
+        flat = x.reshape(-1)
+        flat[:9] = [np.inf, -np.inf, np.nan, -0.0, 0.0,
+                    0.5, np.nextafter(0.5, 1), -0.5, np.nextafter(-0.5, -1)]
+        before = x.copy()
+        axis_shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+        mean, var = layer.running_mean.reshape(axis_shape), layer.running_var.reshape(axis_shape)
+        g, b = layer.gamma.value.reshape(axis_shape), layer.beta.value.reshape(axis_shape)
+        with np.errstate(invalid="ignore"):  # inf * 0 for the channel with g = 0
+            expect = g * ((x - mean) / np.sqrt(var + layer.eps)) + b
+            out = layer.forward(x, training=False)
+        assert np.array_equal(out, expect, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expect))
+        assert np.array_equal(x, before, equal_nan=True)
+
     def test_backward_finite_difference_2d(self):
         layer = BatchNorm(3)
         layer.gamma.value = np.array([1.5, 0.7, -0.3])

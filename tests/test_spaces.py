@@ -81,6 +81,42 @@ class TestTernaryQuantizer:
         q = quantize_ternary(x, 0.5)
         assert np.all(np.diff(q) >= 0)
 
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 3.0])
+    def test_equals_nested_where_value_for_value(self, r):
+        # +0.0 (never -0.0) for every zero, 0 for NaN, the closed band at +-r.
+        edges = [r, -r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf),
+                 np.nextafter(-r, np.inf), np.nextafter(-r, -np.inf)]
+        special = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324]
+        x = np.concatenate([edges, special, np.random.default_rng(4).normal(0, 2, 10**4)])
+        expect = np.where(x > r, 1.0, np.where(x < -r, -1.0, 0.0))
+        q = quantize_ternary(x, r)
+        assert q.dtype == np.float64
+        assert np.array_equal(q, expect)
+        assert np.array_equal(np.signbit(q), np.signbit(expect))
+
+    @pytest.mark.parametrize("r", [-0.5, np.nan])
+    def test_rejects_negative_or_nan_window(self, r):
+        with pytest.raises(ValueError):
+            quantize_ternary(0.0, r)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: quantize_ternary(x, 0.5),
+    lambda x: quantize_binary(x, 2.0),
+    lambda x: quantize_multilevel(x, make_space(2, 1.0), 0.1),
+    *[lambda x, n=n, h=h: quantize_activation(x, make_space(n, h), 0.5)
+      for n in (0, 1, 2) for h in (1.0, 2.0)],
+    lambda x: surrogate_rect(x, RECT),
+    lambda x: surrogate_tri(x, TRI),
+    lambda x: surrogate_activation(x, make_space(2, 1.0), RECT),
+], ids=["ternary", "binary", "multilevel",
+        *[f"activation-n{n}-h{h:g}" for n in (0, 1, 2) for h in (1.0, 2.0)],
+        "rect", "tri", "surrogate-multilevel"])
+@pytest.mark.parametrize("x", [0.7, -0.2, 0, np.float64(1.5)])
+def test_scalar_input_gives_0d_array(fn, x):
+    out = fn(x)
+    assert type(out) is np.ndarray and out.shape == ()
+
 
 class TestMultilevelQuantizer:
     def test_dead_zone(self):
