@@ -8,20 +8,20 @@ stored array (encoding, dtype, shape, offset, byte count).
 
 Ternary weight tensors are stored as mask/sign bit planes (64-bit
 little-endian words, lane i at bit i mod 64 of word i div 64); other grid
-tensors as uint16 grid indices; batch-norm state as float64.
+tensors as uint16 grid indices, so a grid has at most 2**16 states; batch-norm
+state as float64.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict
 from math import prod
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _atomic_write
 from .kernel import WORD_BITS, PackedTernary, pack_ternary_matrix, unpack_ternary
 from .layers import BatchNorm, Conv2d, Dense
 from .network import Network, build_network
@@ -89,6 +89,8 @@ def _add_grid_tensor(writer: _PayloadWriter, name: str, param) -> None:
         writer.add(f"{name}.sign", "ternary-planes", planes.sign, "<u8")
         writer.arrays[-2]["value_shape"] = list(value.shape)
         writer.arrays[-1]["value_shape"] = list(value.shape)
+    elif space.num_states > 1 << 16:
+        raise CheckpointError(f"{name}: {space.num_states} grid states overflow uint16 indices")
     else:
         writer.add(name, "grid-index", space.index_of(value).astype(np.uint16), "<u2")
 
@@ -117,19 +119,11 @@ def save_checkpoint(
         "arrays": writer.arrays,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
+    blob = b"".join([MAGIC, bytes([FORMAT_VERSION]), struct.pack("<I", len(header_bytes)),
+                     header_bytes, *writer.chunks])
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(bytes([FORMAT_VERSION]))
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            for chunk in writer.chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        _atomic_write(path, blob)
     except OSError as exc:
-        if os.path.exists(tmp):
-            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 

@@ -96,12 +96,15 @@ def _train_once(config: RunConfig, train_ds, test_ds, quiet: bool = False,
         log.warning(
             "lr_fin (%g) exceeds lr_start (%g): learning rate will grow each epoch",
             config.lr_fin, config.lr_start)
-    net = build_network(
-        config.architecture,
-        n1=config.n1, n2=config.n2, h=config.h, r=config.r,
-        surrogate=config.surrogate, a=config.a, seed=config.seed,
-        input_shape=train_ds.images.shape[1:], classes=train_ds.classes,
-    )
+    try:
+        net = build_network(
+            config.architecture,
+            n1=config.n1, n2=config.n2, h=config.h, r=config.r,
+            surrogate=config.surrogate, a=config.a, seed=config.seed,
+            input_shape=train_ds.images.shape[1:], classes=train_ds.classes,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
     def report(rec):
         if not quiet:
             print(f"epoch {rec.epoch:3d}  loss {rec.train_loss:.4f}  "
@@ -144,11 +147,11 @@ def cmd_eval(args) -> int:
     net, config, header = load_checkpoint(args.checkpoint)
     dataset = args.dataset or config.dataset
     _, test_ds = resolve_dataset(dataset, args.data_dir)
-    accuracy, sparsity = evaluate(net, test_ds)
     if packed_eligible(net):
-        report = check_packed_scores(net, test_ds)
+        accuracy, sparsity, report = check_packed_scores(net, test_ds)
         print(f"inference=packed resting={report.resting_fraction!r}")
     else:
+        accuracy, sparsity = evaluate(net, test_ds)
         print("inference=float")
     print(f"test_accuracy={accuracy!r}")
     print(f"sparsity={sparsity!r}")

@@ -57,6 +57,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.n1 < 0 or self.n2 < 0:
             raise ConfigError("state parameters n1, n2 must be non-negative")
+        if self.n1 > 15:
+            raise ConfigError(f"n1={self.n1} exceeds 15: checkpoints store weight grid "
+                              "indices as uint16, which hold 2**15 + 1 states at most")
         if not self.h > 0:
             raise ConfigError("half-range h must be positive")
         if self.r < 0:
@@ -139,13 +142,20 @@ class MetricsRecord:
     zero_fractions: tuple[float, ...] = ()
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to a synced temp file and rename it over ``path``; on any
+    OSError the temp file is removed and the error propagates."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_metrics(path: str, config: RunConfig, records: list[MetricsRecord]) -> None:
@@ -156,7 +166,7 @@ def write_metrics(path: str, config: RunConfig, records: list[MetricsRecord]) ->
     for rec in records:
         lines.append(
             f"{rec.epoch},{rec.train_loss!r},{rec.test_accuracy!r},{rec.sparsity!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_metrics(path: str) -> tuple[dict[str, str], list[MetricsRecord]]:
@@ -186,4 +196,4 @@ def write_sweep_table(path: str, param: str,
     lines = [f"# metrics_version={METRICS_VERSION}", f"{param},test_accuracy"]
     for value, acc in sorted(rows):
         lines.append(f"{_fmt(value)},{acc!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -291,10 +291,7 @@ class BatchNorm(Layer):
 
 
 class QuantAct(Layer):
-    """Quantized activation: grid values forward, surrogate pulses backward.
-
-    Tracks the zero fraction of its most recent output for sparsity metrics.
-    """
+    """Quantized activation: grid values forward, surrogate pulses backward."""
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
         # Multi-level bands only exist for r < h; binary/ternary thresholds may
@@ -305,7 +302,6 @@ class QuantAct(Layer):
                 f"r={spec.r}, a={spec.a}, h={space.h}")
         self.space = space
         self.spec = spec
-        self.last_sparsity = 0.0
         self._x = None
 
     def _activation(self, x: np.ndarray) -> np.ndarray:
@@ -313,7 +309,6 @@ class QuantAct(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = self._activation(x)
-        self.last_sparsity = float(np.mean(out == 0.0))
         if training:
             self._x = x
         return out

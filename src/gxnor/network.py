@@ -12,10 +12,14 @@ Training follows forward -> squared hinge loss -> backward -> one stochastic
 grid transition per weight tensor and one Adam step for the batch-norm
 parameters, with the learning rate decaying by a fixed factor per epoch.
 
-``evaluate`` runs the float path.  ``packed_evaluate`` reruns inference with
-bit-packed gated-XNOR dot products for every dense layer whose operands are
-exactly ternary, and must agree with the float path bit for bit;
-``check_packed_scores`` checks that score matrix by score matrix.
+Inference has one layer walk and one loop over batches.  The walk runs every
+layer in inference mode and counts the zeros of each quantized activation.
+``evaluate`` (and ``fit``'s per-epoch test pass) take the float walk.
+``packed_evaluate`` takes the packed walk, where every dense layer whose
+operands are exactly ternary runs on bit-packed gated-XNOR dot products and
+must agree with the float walk bit for bit.  ``check_packed_scores`` runs
+both, score matrix by score matrix, and reports the float walk's accuracy
+and sparsity.
 """
 
 from __future__ import annotations
@@ -173,31 +177,68 @@ def train_step(net: Network, images: np.ndarray, labels: np.ndarray,
     return lg.loss
 
 
-def _inference_pass(net: Network, dataset: Dataset,
-                    batch_size: int = EVAL_BATCH) -> tuple[float, float, tuple[float, ...]]:
-    """Float-path accuracy, mean zero-activation fraction and per-quantized-layer
-    zero fractions over a dataset (inference mode)."""
-    quant = net.quant_layers()
-    zero = np.zeros(len(quant))
+def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
+          tally: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+    """One batch's class scores and each quantized layer's zero fraction.
+
+    Every layer runs in inference mode.  Given ``packed_w`` (``id(layer)`` to
+    packed weights), each dense layer fed by a QuantAct runs on bit planes and
+    adds its open gates, bitcounts and lanes to ``tally``.
+    """
+    zeros = []
+    ternary_in = False
+    for layer in net.layers:
+        if ternary_in and packed_w is not None and isinstance(layer, Dense):
+            scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
+            tally += (rep.xnor_ops, rep.bitcount_ops, len(x) * layer.weight.value.size)
+            x = scores.astype(float)
+        else:
+            x = layer.forward(x, training=False)
+        ternary_in = isinstance(layer, QuantAct)
+        if ternary_in:
+            zeros.append((x.size - np.count_nonzero(x)) / x.size)
+    return x, zeros
+
+
+def _inference_pass(
+    net: Network, dataset: Dataset, batch_size: int = EVAL_BATCH,
+    packed_w: dict | None = None, check: bool = False,
+) -> tuple[float, float, tuple[float, ...], OpReport]:
+    """Accuracy, mean and per-quantized-layer zero fractions, and OpReport.
+
+    Without ``packed_w`` the float walk runs; with it, the packed walk.  With
+    ``check`` both run, the float walk giving accuracy and sparsity, and their
+    score matrices must be equal batch by batch (RuntimeError if not).
+    """
+    zero = np.zeros(len(net.quant_layers()))
+    tally = np.zeros(3, dtype=np.int64)
     correct = 0
     n = len(dataset)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        scores = net.forward(dataset.images[lo:hi], training=False)
+        images = dataset.images[lo:hi]
+        scores, fractions = _walk(net, images, None if check else packed_w, tally)
+        if check and not np.array_equal(_walk(net, images, packed_w, tally)[0], scores):
+            raise RuntimeError(
+                f"packed scores differ from float scores on images {lo}..{hi - 1}")
         correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
-        for i, qa in enumerate(quant):
-            zero[i] += qa.last_sparsity * (hi - lo)
-    if n == 0:
-        return 0.0, 0.0, (0.0,) * len(quant)
+        zero += np.multiply(fractions, hi - lo)
+    xnor, bitcount, lanes = map(int, tally)
+    report = OpReport(
+        architecture=Architecture.GXNOR,
+        xnor_ops=xnor,
+        bitcount_ops=bitcount,
+        resting_fraction=1.0 - xnor / lanes if lanes else 0.0,
+    )
+    n = max(n, 1)  # an empty dataset scores 0 everywhere
     sparsity = float(zero.mean() / n) if zero.size else 0.0
-    return correct / n, sparsity, tuple(float(z / n) for z in zero)
+    return correct / n, sparsity, tuple(float(z / n) for z in zero), report
 
 
 def evaluate(net: Network, dataset: Dataset,
              batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Deterministic float-path accuracy and mean zero-activation fraction."""
-    accuracy, sparsity, _ = _inference_pass(net, dataset, batch_size)
-    return accuracy, sparsity
+    return _inference_pass(net, dataset, batch_size)[:2]
 
 
 def packed_eligible(net: Network) -> bool:
@@ -210,41 +251,11 @@ def packed_eligible(net: Network) -> bool:
     )
 
 
-def _packed_scores(net: Network, x: np.ndarray, packed_w: dict, tally: list) -> np.ndarray:
-    """One batch's class scores, every dense layer fed by a QuantAct on bit planes.
-
-    ``packed_w`` maps ``id(layer)`` to each dense layer's packed weights.  The
-    batch's open gates, bitcounts and lanes are added to ``tally``.
-    """
-    ternary_in = False
-    for layer in net.layers:
-        if isinstance(layer, Dense) and ternary_in:
-            scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
-            tally[0] += rep.xnor_ops
-            tally[1] += rep.bitcount_ops
-            tally[2] += len(x) * layer.out_features * layer.in_features
-            x = scores.astype(float)
-        else:
-            x = layer.forward(x, training=False)
-        ternary_in = isinstance(layer, QuantAct)
-    return x
-
-
 def _packed_weights(net: Network) -> dict:
     if not packed_eligible(net):
         raise ValueError("packed inference needs ternary unit-range weights and activations")
     return {id(layer): pack_ternary_matrix(layer.weight.value)
             for layer in net.layers if isinstance(layer, Dense)}
-
-
-def _tally_report(tally: list) -> OpReport:
-    xnor, bitcount, lanes = tally
-    return OpReport(
-        architecture=Architecture.GXNOR,
-        xnor_ops=xnor,
-        bitcount_ops=bitcount,
-        resting_fraction=1.0 - xnor / lanes if lanes else 0.0,
-    )
 
 
 def packed_evaluate(net: Network, dataset: Dataset,
@@ -255,34 +266,17 @@ def packed_evaluate(net: Network, dataset: Dataset,
     layer sees continuous pixels and stays on the float path.  Scores equal
     the float path exactly (integer-valued sums are exact in both).
     """
-    packed_w = _packed_weights(net)
-    n = len(dataset)
-    correct = 0
-    tally = [0, 0, 0]
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        scores = _packed_scores(net, dataset.images[lo:hi], packed_w, tally)
-        correct += int((np.argmax(scores, axis=1) == dataset.labels[lo:hi]).sum())
-    return correct / n if n else 0.0, _tally_report(tally)
+    accuracy, _, _, report = _inference_pass(net, dataset, batch_size, _packed_weights(net))
+    return accuracy, report
 
 
 def check_packed_scores(net: Network, dataset: Dataset,
-                        batch_size: int = EVAL_BATCH) -> OpReport:
-    """Run the packed and the float path batch by batch; their score matrices
-    must be equal.  Raises RuntimeError at the first batch where they differ,
-    else returns the packed path's report.
-    """
-    packed_w = _packed_weights(net)
-    n = len(dataset)
-    tally = [0, 0, 0]
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        images = dataset.images[lo:hi]
-        packed = _packed_scores(net, images, packed_w, tally)
-        if not np.array_equal(packed, net.forward(images, training=False)):
-            raise RuntimeError(
-                f"packed scores differ from float scores on images {lo}..{hi - 1}")
-    return _tally_report(tally)
+                        batch_size: int = EVAL_BATCH) -> tuple[float, float, OpReport]:
+    """Float-path accuracy and sparsity, with the packed path's report; raises
+    RuntimeError at the first batch whose packed and float scores differ."""
+    accuracy, sparsity, _, report = _inference_pass(
+        net, dataset, batch_size, _packed_weights(net), check=True)
+    return accuracy, sparsity, report
 
 
 def _shuffle_seed(seed: int, epoch: int) -> np.random.Generator:
@@ -313,7 +307,7 @@ def fit(
         losses = []
         for images, labels in batches(train, batch_size, _shuffle_seed(seed, epoch)):
             losses.append(train_step(net, images, labels, grid_opt, real_opt))
-        accuracy, sparsity, fractions = _inference_pass(net, test)
+        accuracy, sparsity, fractions, _ = _inference_pass(net, test)
         grid_opt.lr *= alpha
         real_opt.lr *= alpha
         record = MetricsRecord(

@@ -98,6 +98,26 @@ class TestRoundTrip:
         self.assert_identical(net, restored, data)
 
 
+class TestWideGrids:
+    def test_top_state_of_widest_grid_round_trips(self, tmp_path):
+        cfg = blobs_config(n1=15)
+        net = build_from(cfg)
+        for p in net.grid_params():
+            p.value = np.full_like(p.value, p.space.h)
+        path = str(tmp_path / "model.gxnr")
+        save_checkpoint(path, net, cfg)
+        restored, _, _ = load_checkpoint(path)
+        assert all((p.value == p.space.h).all() for p in restored.grid_params())
+
+    def test_grid_too_wide_for_uint16_indices_is_refused(self, tmp_path):
+        cfg = RunConfig(architecture="mlp-16-32-4", dataset="blobs", n1=16)
+        net = build_from(cfg)
+        path = tmp_path / "model.gxnr"
+        with pytest.raises(CheckpointError, match="grid states"):
+            save_checkpoint(str(path), net, cfg)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCorruption:
     def saved(self, tmp_path):
         cfg = blobs_config()
@@ -105,6 +125,14 @@ class TestCorruption:
         path = str(tmp_path / "model.gxnr")
         save_checkpoint(path, net, cfg)
         return path
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        cfg = blobs_config()
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(CheckpointError, match="cannot write"):
+            save_checkpoint(str(target), build_from(cfg), cfg)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

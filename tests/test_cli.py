@@ -1,5 +1,6 @@
 """Command-line workflows exercised in-process through main()."""
 
+import dataclasses
 import logging
 import os
 
@@ -65,15 +66,16 @@ class TestTrain:
     def test_one_test_set_pass_per_epoch(self, config_path, tmp_path, monkeypatch):
         # The checkpoint's per-layer zero fractions come from the last epoch's
         # evaluation, not from one more pass over the test set.
-        forward = gxnor.network.Network.forward
+        # Every inference walk starts at the MLP's Flatten layer.
+        forward = gxnor.layers.Flatten.forward
         eval_images = []
 
-        def counting(net, x, training=False):
+        def counting(layer, x, training):
             if not training:
                 eval_images.append(len(x))
-            return forward(net, x, training)
+            return forward(layer, x, training)
 
-        monkeypatch.setattr(gxnor.network.Network, "forward", counting)
+        monkeypatch.setattr(gxnor.layers.Flatten, "forward", counting)
         out = str(tmp_path / "out")
         assert run("train", "--config", config_path, "--out-dir", out) == 0
         _, test = resolve_dataset(FAST_BLOBS.dataset)
@@ -128,6 +130,20 @@ class TestEval:
         line = next(l for l in out.splitlines() if l.startswith("test_accuracy="))
         assert float(line.split("=")[1]) == records[-1].test_accuracy
 
+    def test_packed_eval_makes_one_float_pass(self, checkpoint, monkeypatch):
+        # The score check's float walk also gives accuracy and sparsity.
+        forward = gxnor.layers.Dense.forward
+        _, test = resolve_dataset(FAST_BLOBS.dataset)
+        classifier_images = []
+
+        def counting(layer, x, training):
+            if not training and layer.out_features == test.classes:
+                classifier_images.append(len(x))
+            return forward(layer, x, training)
+
+        monkeypatch.setattr(gxnor.layers.Dense, "forward", counting)
+        assert run("eval", "--checkpoint", checkpoint) == 0
+        assert sum(classifier_images) == len(test)
 
     def test_packed_path_error_is_runtime_error(self, checkpoint, monkeypatch, capsys):
         # An eligible checkpoint must run the packed path; a fault there is not
@@ -231,6 +247,19 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("config_version=1\nepochs=0\n")
         assert run("train", "--config", str(bad), "--out-dir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("architecture", ["mlp-16-32-4x", "mlp-15-32-4"])
+    def test_bad_architecture_is_config_error(self, tmp_path, capsys, architecture):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        assert architecture in capsys.readouterr().err
+
+    def test_weight_grid_beyond_checkpoint_indices_is_config_error(self, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n1=16).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "none.cfg")) == 2

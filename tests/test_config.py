@@ -133,6 +133,15 @@ class TestMetrics:
         write_metrics(path, RunConfig(), self.RECORDS)
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_metrics(str(target), RunConfig(), self.RECORDS)
+        with pytest.raises(OSError):
+            write_sweep_table(str(target), "m", [(1.0, 0.5)])
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_read_rejects_missing_column_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# metrics_version=1\n1,2,3,4\n")

@@ -397,7 +397,6 @@ class TestQuantAct:
         x = np.array([[-2.0, -0.4, 0.0, 0.6, 3.0]])
         out = layer.forward(x, training=True)
         assert np.array_equal(out, [[-1.0, 0.0, 0.0, 1.0, 1.0]])
-        assert layer.last_sparsity == pytest.approx(0.4)
 
     def test_forward_matches_standalone_quantizer(self):
         space = DiscreteSpace(n=2, h=1.0)

@@ -7,7 +7,9 @@ from gxnor.data import Dataset, synthetic_blobs
 from gxnor.dst import AdamOptimizer, DstOptimizer
 from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct
 from gxnor.network import (
+    EVAL_BATCH,
     build_network,
+    check_packed_scores,
     evaluate,
     fit,
     packed_eligible,
@@ -203,6 +205,44 @@ class TestEvaluate:
         assert sparsity == pytest.approx(np.mean(fractions))
 
 
+def zero_fraction_oracle(net, data, batch_size):
+    """Per-quantized-layer zero fractions and their mean from a hand walk,
+    each batch's fraction weighted by its size."""
+    zero = np.zeros(len(net.quant_layers()))
+    n = len(data)
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        x, i = data.images[lo:hi], 0
+        for layer in net.layers:
+            x = layer.forward(x, training=False)
+            if isinstance(layer, QuantAct):
+                zero[i] += np.mean(x == 0.0) * (hi - lo)
+                i += 1
+    return tuple(float(z / n) for z in zero), float(zero.mean() / n)
+
+
+@pytest.mark.parametrize("architecture, image_shape", [
+    ("mlp-36-8-8-4", (1, 1, 36)),
+    ("conv-2c3-mp2-4fc", (1, 6, 6)),
+])
+def test_zero_fractions_equal_hand_walk(architecture, image_shape):
+    def shaped(n, seed):
+        data = synthetic_blobs(n=n, classes=4, dim=36, seed=seed)
+        return Dataset(images=data.images.reshape(n, *image_shape),
+                       labels=data.labels, classes=4)
+    # 1030 test images: fit's test pass ends on a short batch of 30.
+    train, test = shaped(100, 91), shaped(EVAL_BATCH + 30, 92)
+    net = build_network(architecture, input_shape=image_shape, classes=4, seed=13)
+    records = fit(net, train, test, epochs=1, batch_size=50, lr_start=0.01,
+                  lr_fin=0.001, seed=13)
+    fractions, sparsity = zero_fraction_oracle(net, test, EVAL_BATCH)
+    assert len(fractions) == 2 and all(0.0 < f < 1.0 for f in fractions)
+    assert records[-1].zero_fractions == fractions
+    assert records[-1].sparsity == sparsity
+    assert evaluate(net, test)[1] == sparsity
+    assert evaluate(net, test, batch_size=7)[1] == zero_fraction_oracle(net, test, 7)[1]
+
+
 class TestPackedInference:
     def trained_net(self):
         train = synthetic_blobs(n=600, classes=4, dim=16, seed=71)
@@ -219,6 +259,12 @@ class TestPackedInference:
         assert packed_acc == float_acc
         assert 0.0 <= report.resting_fraction <= 1.0
         assert report.xnor_ops > 0
+
+    def test_score_check_reports_float_accuracy_and_packed_ops(self):
+        net, data = self.trained_net()
+        accuracy, sparsity, report = check_packed_scores(net, data, batch_size=70)
+        assert (accuracy, sparsity) == evaluate(net, data, batch_size=70)
+        assert report == packed_evaluate(net, data, batch_size=70)[1]
 
     def test_hidden_preactivations_are_integers(self):
         net, data = self.trained_net()
