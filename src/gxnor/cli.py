@@ -172,10 +172,11 @@ def _parse_values(param: str, text: str):
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     values = _parse_values(args.param, args.values)
+    # Every point is checked before the first one trains.
+    points = [dataclasses.replace(config, **{args.param: value}).validate() for value in values]
     train_ds, test_ds = resolve_dataset(config.dataset, args.data_dir)
     rows = []
-    for value in values:
-        point = dataclasses.replace(config, **{args.param: value}).validate()
+    for value, point in zip(values, points):
         print(f"--- {args.param}={value}")
         _, records = _train_once(point, train_ds, test_ds, quiet=True)
         accuracy = records[-1].test_accuracy

@@ -68,6 +68,10 @@ class RunConfig:
             raise ConfigError(f"surrogate must be 'rect' or 'tri', got {self.surrogate!r}")
         if not self.a > 0:
             raise ConfigError("pulse half-width a must be positive")
+        if self.n2 >= 2 and not self.r + self.a <= self.h:
+            raise ConfigError(
+                f"multi-level activations (n2={self.n2}) need r + a <= h for their "
+                f"surrogate pulses, got r={self.r!r}, a={self.a!r}, h={self.h!r}")
         if not self.m > 0:
             raise ConfigError("transition factor m must be positive")
         if not (self.lr_start > 0 and self.lr_fin > 0):

@@ -62,23 +62,36 @@ SHUFFLE_DOMAIN = 1 << 20
 
 
 class Network:
-    """A fixed sequence of layers ending in real-valued class scores."""
+    """A fixed sequence of layers ending in real-valued class scores.
 
-    def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
+    Image batches arrive as (b, c, h, w).  With ``batch_last`` (a conv net)
+    they enter the layers as (c, h, w, b).  Backward stops at the first
+    weighted layer, which skips its input gradient.
+    """
+
+    def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...],
+                 batch_last: bool = False):
         self.layers = layers
         self.classes = classes
         self.input_shape = tuple(input_shape)
+        self.batch_last = batch_last
+        self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
+        layers[self._first_weighted].input_grad = False
+
+    def enter(self, images: np.ndarray) -> np.ndarray:
+        """An image batch in the layout the first layer takes."""
+        return np.ascontiguousarray(images.transpose(1, 2, 3, 0)) if self.batch_last else images
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        x = self.enter(x)
         for layer in self.layers:
             x = layer.forward(x, training)
         return x
 
-    def backward(self, dscores: np.ndarray) -> np.ndarray:
+    def backward(self, dscores: np.ndarray) -> None:
         grad = dscores
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[self._first_weighted:]):
             grad = layer.backward(grad)
-        return grad
 
     def grid_params(self):
         return [p for layer in self.layers for p in layer.grid_params()]
@@ -150,7 +163,7 @@ def build_network(
             elif m := re.fullmatch(r"(\d+)fc", token):
                 out_f = int(m.group(1))
                 if flat is None:
-                    layers.append(Flatten())
+                    layers.append(Flatten(batch_last=True))
                     flat = chans * height * width
                 layers.append(Dense(flat, out_f, w_space, seed, widx))
                 widx += 1
@@ -161,7 +174,7 @@ def build_network(
         if flat is None:
             raise ValueError("conv architecture needs at least one fc stage")
         layers.append(Dense(flat, classes, w_space, seed, widx))
-        return Network(layers, classes=classes, input_shape=input_shape)
+        return Network(layers, classes=classes, input_shape=input_shape, batch_last=True)
 
     raise ValueError(f"unknown architecture id {architecture!r}")
 
@@ -187,6 +200,7 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
     """
     zeros = []
     ternary_in = False
+    x = net.enter(x)
     for layer in net.layers:
         if ternary_in and packed_w is not None and isinstance(layer, Dense):
             scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])

@@ -27,6 +27,9 @@ __all__ = [
     "surrogate_rect",
     "surrogate_tri",
     "surrogate_activation",
+    "pulse_centers",
+    "rect_pulse_count",
+    "rect_pulse_slopes",
 ]
 
 
@@ -106,7 +109,11 @@ def quantize_ternary(x, r: float):
     if not r >= 0:
         raise ValueError(f"window threshold must be non-negative, got {r}")
     x = np.asarray(x, dtype=float)
-    return np.subtract(x > r, x < -r, out=np.empty(x.shape), dtype=np.float64)
+    # The difference of the two tests in int8: one byte per element until the
+    # final cast, which makes the zeros +0.0.
+    step = np.asarray(x > r).view(np.int8)
+    step -= np.asarray(x < -r).view(np.int8)
+    return step.astype(np.float64)
 
 
 def quantize_binary(x, h: float = 1.0):
@@ -153,33 +160,73 @@ def quantize_activation(x, space: DiscreteSpace, r: float):
     return quantize_multilevel(x, space, r)
 
 
+def pulse_centers(space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
+    """Centers in ``|x|`` of the activation surrogate's pulses, ascending.
+
+    A binary grid has one step, at the sign flip, so its pulse is centered at
+    0.  For ``n >= 1`` the centers are the step locations of
+    :func:`quantize_multilevel` for the window ``spec.r``: the dead-zone edge
+    and the inner edges of the outer bands.
+    """
+    if space.n == 0:
+        return np.zeros(1)
+    half_levels = 2 ** (space.n - 1)
+    band = (space.h - spec.r) / half_levels
+    return spec.r + band * np.arange(half_levels)
+
+
+def rect_pulse_count(x, space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
+    """How many rectangular pulses cover each ``|x|`` (closed intervals; NaN: 0).
+
+    The unsigned dtype is the narrowest that holds the pulse count, so
+    ``rect_pulse_slopes(space, spec)[count]`` is the rect surrogate.
+    """
+    x = np.asarray(x, dtype=float)
+    centers = pulse_centers(space, spec)
+    count = np.zeros(x.shape, dtype=np.min_scalar_type(len(centers)))
+    for c in centers:
+        lo, hi = c - spec.a, c + spec.a
+        # lo <= |x| <= hi as the union of [lo, hi] and [-hi, -lo], so that no
+        # |x| temporary is built.
+        inside = x >= lo
+        inside &= x <= hi
+        mirror = x <= -lo
+        mirror &= x >= -hi
+        inside |= mirror
+        count += inside
+    return count
+
+
+def rect_pulse_slopes(space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
+    """Rect surrogate value by pulse count: ``k`` pulse heights added one by one.
+
+    Adding a zero changes no partial sum, so entry ``k`` is also the sum over
+    every pulse in center order of its height or zero.
+    """
+    height = space.dz / (2.0 * spec.a)
+    slopes = np.zeros(len(pulse_centers(space, spec)) + 1)
+    for k in range(1, len(slopes)):
+        slopes[k] = slopes[k - 1] + height
+    return slopes
+
+
 def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
     """Surrogate derivative matching :func:`quantize_activation`.
 
-    One pulse in ``|x|`` per quantizer step, each integrating to the step
-    height ``dz``.  A binary grid has one step, at the sign flip, so its
-    pulse is centered at 0.  For ``n >= 1`` the centers are the step
-    locations of :func:`quantize_multilevel` for the window ``spec.r``: the
-    dead-zone edge and the inner edges of the outer bands.
+    One pulse in ``|x|`` per quantizer step (see :func:`pulse_centers`),
+    each integrating to the step height ``dz``.  Where pulses overlap, their
+    values add up in center order.
     """
-    if space.n == 0:
-        centers = [0.0]
-    else:
-        half_levels = 2 ** (space.n - 1)
-        band = (space.h - spec.r) / half_levels
-        centers = spec.r + band * np.arange(half_levels)
+    if spec.shape is PulseShape.RECTANGULAR:
+        return np.asarray(rect_pulse_slopes(space, spec)[rect_pulse_count(x, space, spec)])
     ax = np.abs(np.asarray(x, dtype=float))
     a, scale = spec.a, space.dz
     out = np.zeros_like(ax)
-    for c in centers:
-        if spec.shape is PulseShape.RECTANGULAR:
-            inside = (ax >= c - a) & (ax <= c + a)
-            out += np.where(inside, scale / (2.0 * a), 0.0)
-        else:
-            rising = (ax >= c - a) & (ax < c)
-            falling = (ax >= c) & (ax <= c + a)
-            out += np.where(rising, scale * (ax - (c - a)) / (a * a), 0.0)
-            out += np.where(falling, -scale * (ax - (c + a)) / (a * a), 0.0)
+    for c in pulse_centers(space, spec):
+        rising = (ax >= c - a) & (ax < c)
+        falling = (ax >= c) & (ax <= c + a)
+        out += np.where(rising, scale * (ax - (c - a)) / (a * a), 0.0)
+        out += np.where(falling, -scale * (ax - (c + a)) / (a * a), 0.0)
     return out
 
 

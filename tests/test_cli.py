@@ -203,6 +203,17 @@ class TestSweep:
         assert run("sweep", "--config", config_path, "--param", "m",
                    "--values", "abc", "--out-dir", str(tmp_path)) == 1
 
+    def test_invalid_last_point_fails_before_any_training(self, tmp_path, capsys):
+        cfg = tmp_path / "multilevel.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n2=2, r=0.1, a=0.2).to_text())
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--param", "r",
+                   "--values", "0.1,0.9", "--out-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r=0.9" in captured.err
+        assert not out.exists()
+
     def test_invalid_point_is_config_error(self, config_path, tmp_path):
         assert run("sweep", "--config", config_path, "--param", "m",
                    "--values", "-1.0", "--out-dir", str(tmp_path)) == 2
@@ -254,6 +265,15 @@ class TestExitCodes:
         cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())
         assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
         assert architecture in capsys.readouterr().err
+
+    def test_multilevel_span_is_config_error_naming_r(self, tmp_path, capsys):
+        cfg = tmp_path / "span.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n2=2, r=0.9).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "r=0.9" in err and "a=0.5" in err and "h=1.0" in err
+        assert FAST_BLOBS.architecture not in err
+        assert not (tmp_path / "out").exists()
 
     def test_weight_grid_beyond_checkpoint_indices_is_config_error(self, tmp_path):
         cfg = tmp_path / "wide.cfg"

@@ -81,6 +81,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(RunConfig(), **overrides).validate()
 
+    def test_multilevel_activation_span_checked(self):
+        with pytest.raises(ConfigError, match=r"r \+ a <= h.*r=0\.9, a=0\.5, h=1\.0"):
+            dataclasses.replace(RunConfig(), n2=2, r=0.9).validate()
+        # The span is inclusive, and ternary and binary windows may exceed h.
+        dataclasses.replace(RunConfig(), n2=2, r=0.5, a=0.5).validate()
+        dataclasses.replace(RunConfig(), n2=1, r=0.9).validate()
+        dataclasses.replace(RunConfig(), n2=0, r=3.5).validate()
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             RunConfig.load(str(tmp_path / "absent.cfg"))

@@ -1,15 +1,34 @@
 """Layer forward/backward oracles: nested-loop references and finite differences."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gxnor.layers
 from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct, svm_hinge_loss
-from gxnor.spaces import DiscreteSpace, PulseShape, SurrogateSpec, quantize_activation
+from gxnor.spaces import (
+    DiscreteSpace,
+    PulseShape,
+    SurrogateSpec,
+    quantize_activation,
+    surrogate_activation,
+)
 
 TERNARY = DiscreteSpace(n=1, h=1.0)
 RECT = SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.5, r=0.5)
+
+
+def batch_last(x):
+    """(b, c, h, w) -> the (c, h, w, b) layout of 4-D activations in a conv net."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def batch_first(x):
+    """(c, h, w, b) -> (b, c, h, w), the layout the oracles use."""
+    return x.transpose(3, 0, 1, 2)
 
 
 def central_diff(f, x, step=1e-6):
@@ -129,7 +148,7 @@ class TestConv2d:
         layer = self.make()
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 2, 4, 5))
-        out = layer.forward(x, training=False)
+        out = batch_first(layer.forward(batch_last(x), training=False))
         k = layer.weight.value
         expect = np.zeros((2, 3, 3, 4))
         for b in range(2):
@@ -147,12 +166,12 @@ class TestConv2d:
         layer = self.make()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2, 4, 4))
-        layer.forward(x, training=True)
+        layer.forward(batch_last(x), training=True)
         g = rng.normal(size=(2, 3, 3, 3))
-        dx = layer.backward(g)
+        dx = batch_first(layer.backward(batch_last(g)))
 
         def loss():
-            return float(np.sum(g * layer.forward(x, training=False)))
+            return float(np.sum(g * batch_first(layer.forward(batch_last(x), training=False))))
 
         assert np.allclose(dx, central_diff(loss, x), atol=1e-6)
         assert np.allclose(layer.weight.grad, central_diff(loss, layer.weight.value),
@@ -164,11 +183,31 @@ class TestConv2d:
         rng = np.random.default_rng(12)
         x = rng.integers(-1, 2, size=(3, 32, 12, 12)).astype(float)
         g = rng.integers(-1, 2, size=(3, 64, 8, 8)).astype(float)
-        out = layer.forward(x, training=True)
-        dx = layer.backward(g)
+        out = batch_first(layer.forward(batch_last(x), training=True))
+        dx = batch_first(layer.backward(batch_last(g)))
         dkernel, dx_ref = einsum_conv_backward(x, layer.weight.value, g)
         # Integer-valued sums are exact in any order, so equality is exact.
         assert np.array_equal(out, einsum_conv_forward(x, layer.weight.value))
+        assert np.array_equal(layer.weight.grad, dkernel)
+        assert np.array_equal(dx, dx_ref)
+
+    def test_row_blocks_change_no_value(self, monkeypatch):
+        layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=5, layer_index=0)
+        rng = np.random.default_rng(16)
+        x = batch_last(rng.normal(size=(5, 3, 9, 7)))
+        ints = batch_last(rng.integers(-2, 3, size=(5, 3, 9, 7)).astype(float))
+        g = batch_last(rng.integers(-2, 3, size=(5, 4, 7, 5)).astype(float))
+        whole = layer.forward(x, training=False)
+        # Two output rows per block: blocks of 2, 2, 2 and 1 rows.
+        monkeypatch.setattr(Conv2d, "BLOCK_BYTES", 8 * 4 * 5 * 5 * 2)
+        assert layer._blocks(7, 5, 5)[0] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        # Each output value is the same sum in the same order, so even
+        # real-valued outputs are equal bit for bit.
+        assert np.array_equal(layer.forward(x, training=False), whole)
+        layer.forward(ints, training=True)
+        dx = batch_first(layer.backward(g))
+        dkernel, dx_ref = einsum_conv_backward(batch_first(ints), layer.weight.value,
+                                               batch_first(g))
         assert np.array_equal(layer.weight.grad, dkernel)
         assert np.array_equal(dx, dx_ref)
 
@@ -177,11 +216,11 @@ class TestConv2d:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 5, 7))
         g = rng.normal(size=(2, 2, 3, 5))
-        layer.forward(x, training=True)
-        dx = layer.backward(g)
+        layer.forward(batch_last(x), training=True)
+        dx = batch_first(layer.backward(batch_last(g)))
 
         def loss():
-            return float(np.sum(g * layer.forward(x, training=False)))
+            return float(np.sum(g * batch_first(layer.forward(batch_last(x), training=False))))
 
         assert np.allclose(dx, central_diff(loss, x), atol=1e-6)
         assert np.allclose(layer.weight.grad, central_diff(loss, layer.weight.value),
@@ -189,24 +228,24 @@ class TestConv2d:
 
     def test_forward_is_c_contiguous(self):
         x = np.random.default_rng(14).normal(size=(3, 2, 5, 4))
-        out = self.make().forward(x, training=False)
-        assert out.shape == (3, 3, 4, 3)
+        out = self.make().forward(batch_last(x), training=False)
+        assert batch_first(out).shape == (3, 3, 4, 3)
         assert out.flags.c_contiguous
 
     def test_rejects_too_small_input(self):
         with pytest.raises(ValueError):
-            self.make().forward(np.zeros((1, 2, 1, 1)), training=False)
+            self.make().forward(batch_last(np.zeros((1, 2, 1, 1))), training=False)
 
     def test_rejects_wrong_channels(self):
         with pytest.raises(ValueError):
-            self.make().forward(np.zeros((1, 3, 4, 4)), training=False)
+            self.make().forward(batch_last(np.zeros((1, 3, 4, 4))), training=False)
 
 
 class TestMaxPool2d:
     def test_forward_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 4, 6))
-        out = MaxPool2d(2).forward(x, training=False)
+        out = batch_first(MaxPool2d(2).forward(batch_last(x), training=False))
         expect = np.zeros((2, 3, 2, 3))
         for b in range(2):
             for c in range(3):
@@ -219,38 +258,71 @@ class TestMaxPool2d:
     def test_backward_routes_to_max(self):
         layer = MaxPool2d(2)
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        layer.forward(x, training=True)
-        dx = layer.backward(np.array([[[[5.0]]]]))
+        layer.forward(batch_last(x), training=True)
+        dx = batch_first(layer.backward(batch_last(np.array([[[[5.0]]]]))))
         assert np.array_equal(dx, [[[[0.0, 0.0], [0.0, 5.0]]]])
 
     def test_backward_tie_goes_to_first_in_scan_order(self):
         layer = MaxPool2d(2)
         x = np.full((1, 1, 2, 2), 7.0)
-        layer.forward(x, training=True)
-        dx = layer.backward(np.ones((1, 1, 1, 1)))
+        layer.forward(batch_last(x), training=True)
+        dx = batch_first(layer.backward(np.ones((1, 1, 1, 1))))
         assert dx[0, 0, 0, 0] == 1.0 and dx.sum() == 1.0
 
     def test_rejects_indivisible_input(self):
         with pytest.raises(ValueError):
-            MaxPool2d(2).forward(np.zeros((1, 1, 3, 4)), training=False)
+            MaxPool2d(2).forward(batch_last(np.zeros((1, 1, 3, 4))), training=False)
 
     @settings(max_examples=60, deadline=None)
     @given(case=ternary_pool_inputs())
     def test_ternary_ties_match_tile_reference(self, case):
         k, x = case
         layer = MaxPool2d(k)
-        out = layer.forward(x, training=True)
+        out = batch_first(layer.forward(batch_last(x), training=True))
         grad = np.arange(1.0, out.size + 1).reshape(out.shape)
         ref_out, ref_routed, ref_dx = tile_maxpool_reference(x, k, grad)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(layer.backward(np.ones_like(out)) != 0, ref_routed)
-        assert np.array_equal(layer.backward(grad), ref_dx)
+        assert np.array_equal(batch_first(layer.backward(np.ones(out.shape[::-1]))) != 0,
+                              ref_routed)
+        assert np.array_equal(batch_first(layer.backward(batch_last(grad))), ref_dx)
+
+
+@st.composite
+def signed_pool_inputs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    oh, ow = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ties = st.sampled_from([-1.0, -0.0, 0.0, 0.5])
+    x = draw(hnp.arrays(float, (b, c, oh * k, ow * k),
+                        elements=st.one_of(ties, st.floats(-2.0, 2.0))))
+    grad = draw(hnp.arrays(float, (b, c, oh, ow),
+                           elements=st.one_of(ties, st.floats(-2.0, 2.0))))
+    return k, x, grad
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=signed_pool_inputs())
+def test_maxpool_exact_with_signed_zeros_and_ties(case):
+    k, x, grad = case
+    layer = MaxPool2d(k)
+    out = batch_first(layer.forward(batch_last(x), training=True))
+    dx = batch_first(layer.backward(batch_last(grad)))
+    ref_out, ref_routed, ref_dx = tile_maxpool_reference(x, k, grad)
+    assert np.array_equal(out, ref_out)
+    # A zero maximum takes its sign from a fold of np.maximum over the taps
+    # in scan order; np.max's reduction order may differ.
+    taps = [x[:, :, u::k, v::k] for u in range(k) for v in range(k)]
+    assert np.array_equal(np.signbit(out), np.signbit(reduce(np.maximum, taps)))
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(np.signbit(dx), np.signbit(ref_dx))
+    routed = batch_first(layer.backward(np.ones(grad.shape[::-1]))) != 0
+    assert np.array_equal(routed, ref_routed)
 
 
 @pytest.mark.parametrize("make,shape", [
     (lambda: Dense(4, 3, TERNARY, seed=0, layer_index=0), (5, 4)),
     (lambda: Conv2d(2, 3, kernel_size=2, space=TERNARY, seed=0, layer_index=0), (2, 2, 4, 4)),
-    (lambda: MaxPool2d(2), (2, 3, 4, 4)),
+    (lambda: MaxPool2d(2), (3, 4, 4, 2)),
     (lambda: QuantAct(TERNARY, RECT), (3, 6)),
 ], ids=["Dense", "Conv2d", "MaxPool2d", "QuantAct"])
 def test_eval_forward_leaves_backward_cache_alone(make, shape):
@@ -263,6 +335,25 @@ def test_eval_forward_leaves_backward_cache_alone(make, shape):
     expect = layer.backward(g)
     layer.forward(rng.normal(size=shape), training=False)
     assert np.array_equal(layer.backward(g), expect)
+
+
+@pytest.mark.parametrize("make", [lambda: BatchNorm(3), lambda: QuantAct(TERNARY, RECT)],
+                         ids=["BatchNorm", "QuantAct"])
+def test_channel_blocks_change_no_value(make, monkeypatch):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(3, 4, 5, 6))
+    g = rng.normal(size=x.shape)
+
+    def run():
+        layer = make()
+        out = layer.forward(x, training=True)
+        return [out, layer.backward(g)] + [p.grad for p in layer.real_params()]
+
+    whole = run()
+    monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES", x[0].nbytes)
+    assert gxnor.layers._channel_blocks(x) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    for a, b in zip(run(), whole):
+        assert np.array_equal(a, b)
 
 
 class TestFlatten:
@@ -313,16 +404,30 @@ class TestBatchNorm:
         flat = x.reshape(-1)
         flat[:9] = [np.inf, -np.inf, np.nan, -0.0, 0.0,
                     0.5, np.nextafter(0.5, 1), -0.5, np.nextafter(-0.5, -1)]
-        before = x.copy()
+        layer_in = x if x.ndim == 2 else batch_last(x)
+        before = layer_in.copy()
         axis_shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
         mean, var = layer.running_mean.reshape(axis_shape), layer.running_var.reshape(axis_shape)
         g, b = layer.gamma.value.reshape(axis_shape), layer.beta.value.reshape(axis_shape)
         with np.errstate(invalid="ignore"):  # inf * 0 for the channel with g = 0
             expect = g * ((x - mean) / np.sqrt(var + layer.eps)) + b
-            out = layer.forward(x, training=False)
+            out = layer.forward(layer_in, training=False)
+        if x.ndim == 4:
+            out = batch_first(out)
         assert np.array_equal(out, expect, equal_nan=True)
         assert np.array_equal(np.signbit(out), np.signbit(expect))
-        assert np.array_equal(x, before, equal_nan=True)
+        assert np.array_equal(layer_in, before, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(float, st.sampled_from([(7, 3), (50, 2), (3, 2, 2, 4), (2, 3, 5, 6)]),
+                        elements=st.floats(-1e3, 1e3)))
+    def test_training_statistics_equal_numpy(self, x):
+        axes = (0,) if x.ndim == 2 else (1, 2, 3)
+        # momentum 1 makes the running statistics this batch's own.
+        layer = BatchNorm(x.shape[1] if x.ndim == 2 else x.shape[0], momentum=1.0)
+        layer.forward(x, training=True)
+        assert np.array_equal(layer.running_mean, x.mean(axis=axes))
+        assert np.array_equal(layer.running_var, x.var(axis=axes))
 
     def test_backward_finite_difference_2d(self):
         layer = BatchNorm(3)
@@ -348,11 +453,11 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 2, 2, 2))
         g = rng.normal(size=(3, 2, 2, 2))
-        layer.forward(x, training=True)
-        dx = layer.backward(g)
+        layer.forward(batch_last(x), training=True)
+        dx = batch_first(layer.backward(batch_last(g)))
 
         def loss():
-            return float(np.sum(g * layer.forward(x, training=True)))
+            return float(np.sum(g * batch_first(layer.forward(batch_last(x), training=True))))
 
         assert np.allclose(dx, central_diff(loss, x), atol=1e-5)
 
@@ -382,6 +487,67 @@ def relaxed_ramp(x, space, spec):
     hi = centers + spec.a
     overlap = np.maximum(0.0, np.minimum(ax, hi) - lo)
     return np.sign(x) * overlap.sum(axis=-1) * height
+
+
+def where_pulse_sum(x, space, spec):
+    """The surrogate as a loop of masked ``np.where`` terms, one pulse at a
+    time: the oracle for the pulse-count table."""
+    if space.n == 0:
+        centers = [0.0]
+    else:
+        half_levels = 2 ** (space.n - 1)
+        band = (space.h - spec.r) / half_levels
+        centers = spec.r + band * np.arange(half_levels)
+    ax = np.abs(np.asarray(x, dtype=float))
+    a, scale = spec.a, space.dz
+    out = np.zeros_like(ax)
+    for c in centers:
+        if spec.shape is PulseShape.RECTANGULAR:
+            inside = (ax >= c - a) & (ax <= c + a)
+            out += np.where(inside, scale / (2.0 * a), 0.0)
+        else:
+            rising = (ax >= c - a) & (ax < c)
+            falling = (ax >= c) & (ax <= c + a)
+            out += np.where(rising, scale * (ax - (c - a)) / (a * a), 0.0)
+            out += np.where(falling, -scale * (ax - (c + a)) / (a * a), 0.0)
+    return out
+
+
+@st.composite
+def pulse_cases(draw):
+    n = draw(st.sampled_from([0, 1, 2, 3]))
+    h = draw(st.sampled_from([1.0, 2.0, 0.75]))
+    if n >= 2:
+        # QuantAct requires r + a <= h for multi-level grids.
+        r = h * draw(st.floats(0.0, 0.9))
+        a = (h - r) * draw(st.floats(0.05, 0.99))
+        assume(r + a <= h)
+    else:
+        r, a = draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 1.5))
+    space = DiscreteSpace(n=n, h=h)
+    spec = SurrogateSpec(shape=draw(st.sampled_from(list(PulseShape))), a=a, r=r)
+    centers = [0.0] if n == 0 else r + (h - r) / 2 ** (n - 1) * np.arange(2 ** (n - 1))
+    edges = [float(e) for c in centers for e in (c - a, c, c + a)]
+    ties = st.sampled_from(edges + [-e for e in edges] + [0.0, -0.0])
+    x = draw(hnp.arrays(float, hnp.array_shapes(max_dims=3, max_side=6),
+                        elements=st.one_of(ties, st.floats(-3.0, 3.0), st.just(np.nan))))
+    grad = draw(hnp.arrays(float, x.shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, -1.5]), st.floats(-5.0, 5.0))))
+    return space, spec, x, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pulse_cases())
+def test_quantact_backward_equals_masked_pulse_sum(case):
+    space, spec, x, grad = case
+    layer = QuantAct(space, spec)
+    with np.errstate(invalid="ignore"):  # the multi-level quantizer casts NaN levels
+        layer.forward(x, training=True)
+    dx = layer.backward(grad)
+    pulses = where_pulse_sum(x, space, spec)
+    for got, expect in ((dx, pulses * grad), (surrogate_activation(x, space, spec), pulses)):
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 class RelaxedQuantAct(QuantAct):

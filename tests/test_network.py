@@ -1,5 +1,7 @@
 """Network assembly, training dynamics, and packed-inference equivalence."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gxnor.network import (
     packed_evaluate,
     train_step,
 )
+from gxnor.spaces import quantize_activation
 
 
 def small_blobs(seed, n=300, classes=2, dim=2, separation=10.0):
@@ -172,6 +175,113 @@ class TestTraining:
         assert not np.array_equal(net_a.layers[0].weight.value, initial)
 
 
+def shifted_prototypes(n, seed, classes=10):
+    """MNIST-shaped images of blocky class prototypes (a 7x7 grid of uniform
+    cells, 4x4 pixels each), each rolled by up to 3 px along both axes, then
+    0.8 * prototype + N(0, 0.3) noise, clipped to [-1, 1]."""
+    prototypes = np.kron(np.random.default_rng(0).uniform(-1.0, 1.0, (classes, 7, 7)),
+                         np.ones((1, 4, 4)))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, n)
+    shifts = rng.integers(-3, 4, size=(n, 2))
+    images = np.stack([np.roll(prototypes[label], tuple(shift), axis=(0, 1))
+                       for label, shift in zip(labels, shifts)])
+    images = np.clip(0.8 * images + rng.normal(0.0, 0.3, images.shape), -1.0, 1.0)
+    return Dataset(images=images[:, None], labels=labels, classes=classes)
+
+
+def test_conv_net_learns_shifted_prototypes():
+    """Offline learning gate for the conv path; the MNIST gate needs files
+    that are not always there.
+
+    Seeds 1-8 of this recipe end at 0.84-0.90 test accuracy; the floor is
+    the lowest of them minus 0.04.  With Conv2d's weight gradient zeroed,
+    seeds 1-3 end at 0.73, 0.76 and 0.81, so the seed run here, seed 1
+    (0.87), is one whose conv layers must learn to pass.  Budget: 20 s
+    (about 4.5 s on 2 vCPU).
+    """
+    train, test = shifted_prototypes(2000, seed=101), shifted_prototypes(500, seed=201)
+    net = build_network("conv-8c5-mp2-16c5-mp2-64fc", seed=1)
+    start = time.perf_counter()
+    records = fit(net, train, test, epochs=4, batch_size=50, lr_start=0.01,
+                  lr_fin=0.001, seed=1)
+    elapsed = time.perf_counter() - start
+    assert records[-1].test_accuracy >= 0.80
+    assert elapsed < 20.0
+
+
+def nchw_reference_scores(net, images):
+    """Eval-mode class scores of a conv net by a plain NumPy walk that keeps
+    every activation as (b, c, h, w) and flattens in (c, h, w) order."""
+    x = images
+    for layer in net.layers:
+        if isinstance(layer, Conv2d):
+            k, kernel = layer.kernel_size, layer.weight.value
+            oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
+            out = np.zeros((len(x), kernel.shape[0], oh, ow))
+            for u in range(k):
+                for v in range(k):
+                    out += np.einsum("bcij,oc->boij", x[:, :, u:u + oh, v:v + ow],
+                                     kernel[:, :, u, v])
+            x = out
+        elif isinstance(layer, BatchNorm):
+            shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+            mean = layer.running_mean.reshape(shape)
+            var = layer.running_var.reshape(shape)
+            g, b = layer.gamma.value.reshape(shape), layer.beta.value.reshape(shape)
+            x = g * ((x - mean) / np.sqrt(var + layer.eps)) + b
+        elif isinstance(layer, QuantAct):
+            x = quantize_activation(x, layer.space, layer.spec.r)
+        elif isinstance(layer, MaxPool2d):
+            k = layer.window
+            b, c, h, w = x.shape
+            x = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
+        elif isinstance(layer, Flatten):
+            x = x.reshape(len(x), -1)
+        else:
+            x = x @ layer.weight.value.T
+    return x
+
+
+def test_conv_scores_equal_nchw_reference_walk():
+    # Integer-valued images and ternary weights and activations make every
+    # conv and dense sum exact in any order, so the scores must be equal.
+    rng = np.random.default_rng(93)
+    images = rng.integers(-1, 2, size=(90, 2, 10, 12)).astype(float)
+    labels = rng.integers(0, 3, size=90)
+    net = build_network("conv-3c3-mp2-4c2-6fc", input_shape=(2, 10, 12), classes=3, seed=17)
+    grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+    for lo in (0, 30, 60):
+        train_step(net, images[lo:lo + 30], labels[lo:lo + 30], grid, real)
+    expect = nchw_reference_scores(net, images)
+    assert np.array_equal(expect, np.rint(expect)) and expect.any()
+    assert np.array_equal(net.forward(images), expect)
+    accuracy, _ = evaluate(net, Dataset(images=images, labels=labels, classes=3), batch_size=40)
+    assert accuracy == np.mean(np.argmax(expect, axis=1) == labels)
+
+
+@pytest.mark.parametrize("architecture", ["mlp-36-8-4", "conv-2c3-mp2-4fc"])
+def test_backward_stops_at_the_first_weighted_layer(architecture, monkeypatch):
+    net = build_network(architecture, input_shape=(1, 6, 6), classes=4, seed=3)
+    weighted = [layer for layer in net.layers if layer.grid_params()]
+    assert [layer.input_grad for layer in weighted] == [False] + [True] * (len(weighted) - 1)
+    returned = {}
+    for layer in net.layers:
+        def record(grad, layer=layer, backward=layer.backward):
+            returned[id(layer)] = backward(grad)
+            return returned[id(layer)]
+        monkeypatch.setattr(layer, "backward", record)
+    rng = np.random.default_rng(5)
+    images = rng.uniform(-1.0, 1.0, size=(8, 1, 6, 6))
+    net.forward(images, training=True)
+    net.backward(np.ones((8, 4)))
+    first = net.layers.index(weighted[0])
+    assert returned[id(weighted[0])] is None
+    assert weighted[0].weight.grad.shape == weighted[0].weight.value.shape
+    # No layer before the first weighted one runs backward.
+    assert set(returned) == {id(layer) for layer in net.layers[first:]}
+
+
 class TestEvaluate:
     def trained_net(self):
         train = synthetic_blobs(n=500, classes=4, dim=16, seed=61)
@@ -213,6 +323,8 @@ def zero_fraction_oracle(net, data, batch_size):
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         x, i = data.images[lo:hi], 0
+        if net.batch_last:
+            x = x.transpose(1, 2, 3, 0)
         for layer in net.layers:
             x = layer.forward(x, training=False)
             if isinstance(layer, QuantAct):
