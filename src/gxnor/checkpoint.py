@@ -24,7 +24,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, _atomic_write
 from .kernel import WORD_BITS, PackedTernary, pack_ternary_matrix, unpack_ternary
 from .layers import BatchNorm, Conv2d, Dense
-from .network import Network, build_network
+from .network import Network, network_from_config
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "MAGIC", "FORMAT_VERSION"]
 
@@ -56,7 +56,8 @@ def _check_keys(obj, keys: dict, path: str, what: str) -> None:
     for key, kind in keys.items():
         if key not in obj:
             raise CheckpointError(f"{path}: {what} lacks {key!r}")
-        if not isinstance(obj[key], kind):
+        # JSON true/false parse to bool, which Python counts as an int.
+        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
             raise CheckpointError(f"{path}: {what} has a mistyped {key!r}")
 
 
@@ -155,6 +156,8 @@ def _read_header(blob: bytes, path: str) -> tuple[dict, bytes]:
 
 def _take(payload: bytes, desc: dict, path: str) -> np.ndarray:
     lo, hi = desc["offset"], desc["offset"] + desc["nbytes"]
+    if lo < 0 or hi < lo:
+        raise CheckpointError(f"{path}: negative extent for array {desc['name']!r}")
     if hi > len(payload):
         raise CheckpointError(f"{path}: truncated payload for {desc['name']}")
     try:
@@ -176,12 +179,7 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
     try:
-        net = build_network(
-            config.architecture,
-            n1=config.n1, n2=config.n2, h=config.h, r=config.r,
-            surrogate=config.surrogate, a=config.a, seed=config.seed,
-            input_shape=tuple(header["input_shape"]), classes=header["classes"],
-        )
+        net = network_from_config(config, header["input_shape"], header["classes"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not fit its config: {exc}") from exc
     by_name = {desc["name"]: desc for desc in header["arrays"]}

@@ -22,10 +22,10 @@ from .data import DataError, fetch_mnist, resolve_dataset
 from .kernel import Architecture, count_ops
 from .layers import Conv2d, Dense, QuantAct
 from .network import (
-    build_network,
     check_packed_scores,
     evaluate,
     fit,
+    network_from_config,
     packed_eligible,
 )
 
@@ -97,12 +97,7 @@ def _train_once(config: RunConfig, train_ds, test_ds, quiet: bool = False,
             "lr_fin (%g) exceeds lr_start (%g): learning rate will grow each epoch",
             config.lr_fin, config.lr_start)
     try:
-        net = build_network(
-            config.architecture,
-            n1=config.n1, n2=config.n2, h=config.h, r=config.r,
-            surrogate=config.surrogate, a=config.a, seed=config.seed,
-            input_shape=train_ds.images.shape[1:], classes=train_ds.classes,
-        )
+        net = network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
     except ValueError as exc:
         raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
     def report(rec):

@@ -29,7 +29,6 @@ from .spaces import (
     SurrogateSpec,
     quantize_activation,
     rect_pulse_count,
-    rect_pulse_slopes,
     surrogate_activation,
 )
 
@@ -404,9 +403,9 @@ class QuantAct(Layer):
     """Quantized activation: grid values forward, surrogate pulses backward.
 
     For rect pulses, training forward caches each element's pulse count
-    (uint8 unless pulses overlap 256 deep) and backward looks the slope up in
-    a table; tri pulses cache the input and rebuild the surrogate.  Forward
-    goes through :func:`_channel_blocks`.
+    (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
+    pulse height ``dz / (2a)``; tri pulses cache the input and rebuild the
+    surrogate.  Forward goes through :func:`_channel_blocks`.
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
@@ -419,7 +418,6 @@ class QuantAct(Layer):
         self.space = space
         self.spec = spec
         self._rect = spec.shape is PulseShape.RECTANGULAR
-        self._slopes = rect_pulse_slopes(space, spec) if self._rect else None
         self._cache = None
 
     def _activation(self, x: np.ndarray) -> np.ndarray:
@@ -435,19 +433,20 @@ class QuantAct(Layer):
         else:
             out = np.empty(x.shape)
             count = None
-            if counting:
-                count = np.empty(x.shape, np.min_scalar_type(len(self._slopes) - 1))
             for s in blocks:
                 out[s] = self._activation(x[s])
                 if counting:
-                    count[s] = rect_pulse_count(x[s], self.space, self.spec)
+                    part = rect_pulse_count(x[s], self.space, self.spec)
+                    if count is None:
+                        count = np.empty(x.shape, part.dtype)
+                    count[s] = part
         if training:
             self._cache = count if counting else x
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._rect:
-            slope = self._slopes[self._cache]
+            slope = self._cache * (self.space.dz / (2.0 * self.spec.a))
         else:
             slope = surrogate_activation(self._cache, self.space, self.spec)
         slope *= grad

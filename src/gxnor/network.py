@@ -30,7 +30,7 @@ from math import prod
 
 import numpy as np
 
-from .config import MetricsRecord
+from .config import MetricsRecord, RunConfig
 from .data import Dataset, batches
 from .dst import AdamOptimizer, DstOptimizer, lr_schedule
 from .kernel import OpReport, Architecture, pack_ternary_matrix, packed_dense_forward
@@ -49,6 +49,7 @@ from .spaces import DiscreteSpace, PulseShape, SurrogateSpec, make_space
 __all__ = [
     "Network",
     "build_network",
+    "network_from_config",
     "train_step",
     "evaluate",
     "packed_eligible",
@@ -177,6 +178,16 @@ def build_network(
         return Network(layers, classes=classes, input_shape=input_shape, batch_last=True)
 
     raise ValueError(f"unknown architecture id {architecture!r}")
+
+
+def network_from_config(config: RunConfig, input_shape, classes: int) -> Network:
+    """The network ``config`` names, for ``classes``-way data of ``input_shape``."""
+    return build_network(
+        config.architecture,
+        n1=config.n1, n2=config.n2, h=config.h, r=config.r,
+        surrogate=config.surrogate, a=config.a, seed=config.seed,
+        input_shape=tuple(input_shape), classes=classes,
+    )
 
 
 def train_step(net: Network, images: np.ndarray, labels: np.ndarray,

@@ -29,7 +29,6 @@ __all__ = [
     "surrogate_activation",
     "pulse_centers",
     "rect_pulse_count",
-    "rect_pulse_slopes",
 ]
 
 
@@ -117,7 +116,7 @@ def quantize_ternary(x, r: float):
 
 
 def quantize_binary(x, h: float = 1.0):
-    """Two-state quantizer: ``+h`` for ``x >= 0``, ``-h`` otherwise."""
+    """Two-state quantizer: ``+h`` for ``x >= 0``, ``-h`` otherwise (NaN too)."""
     return np.where(np.asarray(x, dtype=float) >= 0, h, -h)
 
 
@@ -128,7 +127,7 @@ def quantize_multilevel(x, space: DiscreteSpace, r: float):
     zone, ``(r, h]`` splits into ``2**(n-1)`` equal bands; band ``w`` maps to
     the grid value ``w * dz`` with the sign of ``x``.  Edges between bands
     belong to the higher band, and ``|x| > h`` saturates to the endpoint
-    values.
+    values.  NaN falls in the dead zone (+0.0).
     """
     if space.n < 1:
         raise ValueError("multilevel quantizer requires a grid with n >= 1")
@@ -138,8 +137,8 @@ def quantize_multilevel(x, space: DiscreteSpace, r: float):
     half_levels = 2 ** (space.n - 1)
     band = (space.h - r) / half_levels
     ax = np.abs(x)
-    level = np.clip(np.floor((ax - r) / band) + 1, 1, half_levels).astype(np.int64)
-    return np.where(ax <= r, 0.0, np.sign(x) * ((level / half_levels) * space.h))
+    level = np.clip(np.floor((ax - r) / band) + 1, 1, half_levels)
+    return np.where(ax > r, np.sign(x) * ((level / half_levels) * space.h), 0.0)
 
 
 def quantize_activation(x, space: DiscreteSpace, r: float):
@@ -148,7 +147,8 @@ def quantize_activation(x, space: DiscreteSpace, r: float):
     Binary grids have no dead zone (``r`` is ignored).  Ternary grids use the
     three-way threshold quantizer, whose window may exceed ``h`` (that is how
     high activation sparsity is reached).  Wider grids use the banded
-    multilevel quantizer, which requires ``r < h``.
+    multilevel quantizer, which requires ``r < h``.  NaN maps to +0.0 on
+    every grid with a dead zone and to ``-h`` on the binary grid.
     """
     if space.n == 0:
         return quantize_binary(x, space.h)
@@ -178,8 +178,8 @@ def pulse_centers(space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
 def rect_pulse_count(x, space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
     """How many rectangular pulses cover each ``|x|`` (closed intervals; NaN: 0).
 
-    The unsigned dtype is the narrowest that holds the pulse count, so
-    ``rect_pulse_slopes(space, spec)[count]`` is the rect surrogate.
+    The dtype is the narrowest unsigned one that holds the pulse count.  The
+    count times one pulse height ``dz / (2a)`` is the rect surrogate.
     """
     x = np.asarray(x, dtype=float)
     centers = pulse_centers(space, spec)
@@ -197,28 +197,16 @@ def rect_pulse_count(x, space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray
     return count
 
 
-def rect_pulse_slopes(space: DiscreteSpace, spec: SurrogateSpec) -> np.ndarray:
-    """Rect surrogate value by pulse count: ``k`` pulse heights added one by one.
-
-    Adding a zero changes no partial sum, so entry ``k`` is also the sum over
-    every pulse in center order of its height or zero.
-    """
-    height = space.dz / (2.0 * spec.a)
-    slopes = np.zeros(len(pulse_centers(space, spec)) + 1)
-    for k in range(1, len(slopes)):
-        slopes[k] = slopes[k - 1] + height
-    return slopes
-
-
 def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
     """Surrogate derivative matching :func:`quantize_activation`.
 
     One pulse in ``|x|`` per quantizer step (see :func:`pulse_centers`),
-    each integrating to the step height ``dz``.  Where pulses overlap, their
-    values add up in center order.
+    each integrating to the step height ``dz``.  A rect pulse is ``dz / (2a)``
+    high, so where rect pulses overlap the value is the covering count times
+    that height; tri pulses add up in center order.
     """
     if spec.shape is PulseShape.RECTANGULAR:
-        return np.asarray(rect_pulse_slopes(space, spec)[rect_pulse_count(x, space, spec)])
+        return np.asarray(rect_pulse_count(x, space, spec) * (space.dz / (2.0 * spec.a)))
     ax = np.abs(np.asarray(x, dtype=float))
     a, scale = spec.a, space.dz
     out = np.zeros_like(ax)

@@ -17,7 +17,7 @@ from gxnor.checkpoint import (
 from gxnor.config import RunConfig
 from gxnor.data import synthetic_blobs
 from gxnor.layers import BatchNorm
-from gxnor.network import build_network, evaluate, fit
+from gxnor.network import evaluate, fit, network_from_config
 
 
 def blobs_config(**overrides):
@@ -28,10 +28,7 @@ def blobs_config(**overrides):
 
 
 def build_from(cfg):
-    return build_network(
-        cfg.architecture, n1=cfg.n1, n2=cfg.n2, h=cfg.h, r=cfg.r,
-        surrogate=cfg.surrogate, a=cfg.a, seed=cfg.seed,
-        input_shape=(1, 1, 16), classes=4)
+    return network_from_config(cfg, (1, 1, 16), 4)
 
 
 def trained(cfg):
@@ -202,6 +199,12 @@ def _set(key, value, array=None):
     return mutate
 
 
+def _shift_gamma(header):
+    """Point ``layer2.gamma`` at bytes counted from the payload's end."""
+    desc = next(d for d in header["arrays"] if d["name"] == "layer2.gamma")
+    desc["offset"] = -2 * desc["nbytes"]
+
+
 MALFORMED = (
     [pytest.param(lambda h, k=k: h.pop(k), id=f"header-without-{k}") for k in HEADER_KEYS]
     + [pytest.param(lambda h, k=k: h["arrays"][0].pop(k), id=f"array-without-{k}")
@@ -214,6 +217,11 @@ MALFORMED = (
         pytest.param(_set("arrays", {}), id="mistyped-arrays"),
         pytest.param(_set("classes", "4"), id="mistyped-classes"),
         pytest.param(_set("offset", "0", array=0), id="mistyped-offset"),
+        pytest.param(_shift_gamma, id="negative-offset"),
+        pytest.param(_set("offset", True, array=0), id="boolean-offset"),
+        pytest.param(_set("nbytes", -8, array=0), id="negative-nbytes"),
+        pytest.param(_set("nbytes", True, array=0), id="boolean-nbytes"),
+        pytest.param(_set("classes", True), id="boolean-classes"),
         pytest.param(_set("shape", [1.5], array=0), id="mistyped-shape-entry"),
         pytest.param(_set("shape", [2], array=0), id="shape-not-of-nbytes"),
         pytest.param(_set("value_shape", [3, 3], array=0), id="value_shape-not-of-network"),

@@ -159,9 +159,11 @@ class TestMultilevelQuantizer:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_window_edge_is_dead_zone(self, n):
+        # NaN falls in the dead zone too, as +0.0 and without a cast warning.
         r = 0.3
-        q = quantize_multilevel(np.array([-r, r]), make_space(n, 1.0), r)
-        assert q.tolist() == [0.0, 0.0]
+        q = quantize_multilevel(np.array([-r, r, np.nan]), make_space(n, 1.0), r)
+        assert q.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(q).any()
 
     def test_rejects_window_at_or_beyond_h(self):
         with pytest.raises(ValueError):
