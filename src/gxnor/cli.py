@@ -154,13 +154,13 @@ def cmd_eval(args) -> int:
 
 
 def _parse_values(param: str, text: str):
-    cast = int if param in ("n1", "n2") else float
+    cast = int if param in ("n1", "n2", "fan_in") else float
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"bad --values for {param}: {exc}") from exc
-    if not values:
-        raise UsageError("--values is empty")
+        raise UsageError(f"bad values for {param}: {exc}") from exc
+    if not values or (param == "fan_in" and min(values) < 1):
+        raise UsageError(f"bad values for {param}: {text!r}")
     return values
 
 
@@ -204,12 +204,14 @@ def _empirical_dist(values: np.ndarray) -> dict[float, float]:
 
 
 def cmd_costmodel(args) -> int:
-    print(COST_COLUMNS)
     if args.checkpoint is None:
-        for fan_in in _parse_values("fan_in", args.fan_in):
-            for row in _cost_rows("uniform", int(fan_in)):
+        fan_ins = _parse_values("fan_in", args.fan_in)
+        print(COST_COLUMNS)
+        for fan_in in fan_ins:
+            for row in _cost_rows("uniform", fan_in):
                 print(row)
         return 0
+    print(COST_COLUMNS)
     net, _, header = load_checkpoint(args.checkpoint)
     fractions = header.get("activation_zero_fractions") or []
     quant_seen = 0

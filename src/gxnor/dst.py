@@ -14,8 +14,10 @@ step, and ``tanh(x) <= x`` keeps the hop probability below ``u``, so those
 weights stay put exactly as the full law would leave them (see
 :func:`project_transition_array`).
 
-Randomness comes from counter-based Philox streams so trajectories are
-reproducible per seed regardless of update scheduling.
+An optimizer step is one flat pass: the gradients are gathered into one vector,
+and the Adam moments live in one flat buffer each, of which every tensor's
+``m1``/``m2`` is a view updated in place.  Each tensor draws from its own
+counter-based Philox stream, so trajectories do not depend on update scheduling.
 """
 
 from __future__ import annotations
@@ -77,6 +79,26 @@ def transition_law(w: np.ndarray, dw: np.ndarray, hyper: DstHyper):
     return v, steps, rem, prob
 
 
+def _candidates(dw: np.ndarray, u: np.ndarray, hyper: DstHyper) -> np.ndarray:
+    """Flat indices of the weights that can move (see :func:`project_transition_array`)."""
+    dz = hyper.space.dz
+    y = np.abs(dw)
+    cand = y >= dz
+    y *= hyper.m
+    y /= dz
+    cand |= u < y
+    return cand.ravel().nonzero()[0]
+
+
+def _land(w: np.ndarray, dw: np.ndarray, u: np.ndarray, idx: np.ndarray, hyper: DstHyper):
+    """New grid values and hops of the candidates ``idx`` of ``dw`` and ``u``, at weights ``w``."""
+    space = hyper.space
+    v, steps, _, prob = transition_law(w, dw.take(idx), hyper)
+    hop = u.take(idx) < prob
+    k = space.index_of(w) + steps + hop * np.where(v >= 0, 1, -1)
+    return space.states()[np.minimum(np.maximum(k, 0), space.num_states - 1)], hop
+
+
 def project_transition_array(
     w: np.ndarray,
     dw: np.ndarray,
@@ -110,27 +132,13 @@ def project_transition_array(
     :class:`DstOptimizer` rejects non-finite gradients and Adam moments before
     they get here.
     """
-    space = hyper.space
-    dz = space.dz
-    w = np.asarray(w, dtype=float)
+    w, dw = np.asarray(w, dtype=float), np.asarray(dw, dtype=float)
     u = rng.random(w.shape)
-    y = np.abs(dw, dtype=float)
-    cand = y >= dz
-    y *= hyper.m
-    y /= dz
-    cand |= u < y
-    idx = np.flatnonzero(cand)
-    # Free the full-size scratch arrays before the result is built.
-    del y, cand
-    u = np.take(u, idx)
-    w_c = np.take(w, idx)
-    v, steps, _, prob = transition_law(w_c, np.take(dw, idx), hyper)
-    hop = u < prob
-    k = space.index_of(w_c) + steps + hop * np.where(v >= 0, 1, -1)
-    new_w = w.copy()
-    np.put(new_w, idx, space.states()[np.clip(k, 0, space.num_states - 1)])
-    moved = np.zeros(w.shape, dtype=bool)
-    np.put(moved, idx, hop)
+    idx = _candidates(dw, u, hyper)
+    new, hop = _land(w.take(idx), dw, u, idx, hyper)
+    new_w, moved = w.copy(), np.zeros(w.shape, dtype=bool)
+    new_w.put(idx, new)
+    moved.put(idx, hop)
     return new_w, moved
 
 
@@ -155,17 +163,13 @@ def param_stream(seed: int, layer_index: int) -> np.random.Generator:
 
 @dataclass
 class RealParam:
-    """A full-precision parameter tensor (batch-norm scale/shift) with Adam accumulators."""
+    """A full-precision tensor (batch-norm scale/shift); its optimizer makes its Adam moments."""
 
     value: np.ndarray
     grad: np.ndarray | None = None
-    m1: np.ndarray = field(init=False)
-    m2: np.ndarray = field(init=False)
+    m1: np.ndarray | None = field(init=False, default=None)
+    m2: np.ndarray | None = field(init=False, default=None)
     step: int = 0
-
-    def __post_init__(self) -> None:
-        self.m1 = np.zeros_like(self.value)
-        self.m2 = np.zeros_like(self.value)
 
 
 @dataclass(kw_only=True)
@@ -183,64 +187,87 @@ class AdamOptimizer:
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if not (0 < beta1 < 1 and 0 < beta2 < 1):
             raise ValueError("Adam decay rates must lie strictly inside (0, 1)")
+        if len({p.step for p in params}) > 1:
+            raise ValueError("the parameters of one optimizer must share one step count")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
+        ends = np.cumsum([0] + [p.value.size for p in params]).tolist()
+        self._spans = list(zip(params, ends, ends[1:]))
+        # Zeroed pages are only touched by the first step.
+        self._m1, self._m2 = np.zeros(ends[-1]), np.zeros(ends[-1])
+        for p, lo, hi in self._spans:
+            if p.m1 is not None:  # moments from an earlier optimizer carry over
+                self._m1[lo:hi], self._m2[lo:hi] = p.m1.ravel(), p.m2.ravel()
+            p.m1, p.m2 = (m[lo:hi].reshape(p.value.shape) for m in (self._m1, self._m2))
 
     def step(self) -> None:
+        if not self.params:
+            return
         for p in self.params:
             p.step += 1
-            self._apply(p, self._increment(p))
+        grads = np.concatenate([p.grad for p, _, _ in self._spans], axis=None)
+        self._apply(self._increment(grads, self.params[0].step))
 
-    def _increment(self, p: RealParam) -> np.ndarray:
-        """Update ``p``'s moments in place and return its bias-corrected increment.
-
-        One scratch array holds each temporary in turn (the scaled gradient, then
-        its scaled square, then the corrected second moment), and it is freed
-        before the increment is applied.
-        """
-        scratch = np.multiply(p.grad, 1.0 - self.beta1)
-        p.m1 *= self.beta1
-        p.m1 += scratch
-        np.square(p.grad, out=scratch)
-        scratch *= 1.0 - self.beta2
-        p.m2 *= self.beta2
-        p.m2 += scratch
-        dw = p.m1 / (1.0 - self.beta1**p.step)
+    def _increment(self, g: np.ndarray, step: int) -> np.ndarray:
+        """Update the moments in place and return the increment; the flat
+        gradient ``g`` and one scratch array hold every temporary in turn."""
+        dw = np.multiply(g, 1.0 - self.beta1)
+        self._m1 *= self.beta1
+        self._m1 += dw
+        np.square(g, out=g)
+        g *= 1.0 - self.beta2
+        self._m2 *= self.beta2
+        self._m2 += g
+        np.divide(self._m1, 1.0 - self.beta1**step, out=dw)
         dw *= -self.lr
-        np.divide(p.m2, 1.0 - self.beta2**p.step, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += self.eps
-        dw /= scratch
+        np.divide(self._m2, 1.0 - self.beta2**step, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        dw /= g
         return dw
 
-    def _apply(self, p: RealParam, dw: np.ndarray) -> None:
-        p.value = p.value + dw
+    def _apply(self, dw: np.ndarray) -> None:
+        for p, lo, hi in self._spans:
+            p.value = p.value + dw[lo:hi].reshape(p.value.shape)
 
 
 class DstOptimizer(AdamOptimizer):
-    """Adam increments projected stochastically onto each tensor's grid."""
+    """Adam increments projected stochastically onto each tensor's grid, one pass per grid."""
 
     def __init__(self, params: list[GridParam], m: float = 3.0, lr: float = 0.01,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if not m > 0:
             raise ValueError(f"transition factor must be positive, got {m}")
-        super().__init__(params, lr, beta1, beta2, eps)
+        grids = list(dict.fromkeys(p.space for p in params))
+        super().__init__(sorted(params, key=lambda p: grids.index(p.space)), lr, beta1, beta2, eps)
+        self.params = params  # the caller's order, which error messages use
         self.m = m
+        self._grids = [[t for t in self._spans if t[0].space == s] for s in grids]
 
-    def _apply(self, p: GridParam, dw: np.ndarray) -> None:
+    def _apply(self, dw: np.ndarray) -> None:
         # A finite second moment implies a finite increment.  The converse
         # fails: a gradient of 1e160 squares to an infinite m2, and every later
         # increment of that weight is then 0, freezing it without a trace.
-        if not np.isfinite(p.m2).all():
-            i = next(i for i, q in enumerate(self.params) if q is p)
+        if not np.isfinite(self._m2).all():
+            i, p = next((i, p) for i, p in enumerate(self.params)
+                        if not np.isfinite(p.m2).all())
             raise ValueError(
                 f"non-finite DST increment for grid tensor {i} of shape {p.value.shape}"
                 " (its gradient or Adam second moment is not finite)")
-        new_w, _ = project_transition_array(p.value, dw, DstHyper(p.space, self.m), p.rng)
-        # The tensor keeps one buffer for its whole life.  Replacing it every
-        # step scattered long-lived blocks through the heap, and the process's
-        # peak RSS then moved by up to a dataset's size with allocation order.
-        p.value[...] = new_w
+        u = np.empty(dw.size)
+        for p, lo, hi in self._spans:
+            p.rng.random(out=u[lo:hi])
+        for spans in self._grids:
+            lo, hi = spans[0][1], spans[-1][2]
+            hyper = DstHyper(spans[0][0].space, self.m)
+            idx = _candidates(dw[lo:hi], u[lo:hi], hyper) + lo
+            cuts = idx.searchsorted([a for _, a, _ in spans] + [hi])
+            parts = [(p, idx[c:d] - a) for (p, a, _), c, d in zip(spans, cuts, cuts[1:])]
+            new, _ = _land(np.concatenate([p.value.take(j) for p, j in parts]), dw, u, idx, hyper)
+            # Only the candidates are read and written, in whatever array p.value
+            # is now.  Full-size copies or new buffers each step raise peak RSS.
+            for (p, j), c, d in zip(parts, cuts, cuts[1:]):
+                p.value.put(j, new[c:d])

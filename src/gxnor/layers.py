@@ -357,12 +357,12 @@ class BatchNorm(Layer):
         inv_std = np.empty(self.num_features).reshape(shape)
         xhat, out = np.empty_like(x), np.empty_like(x)
         for s in _channel_blocks(x):
-            mean[s] = x[s].mean(axis=axes)
-            # d = x - mean, then the mean of d * d: the operations x.var(axes)
-            # performs, so var is bit-identical to it.  d becomes xhat in
-            # place, and the d * d buffer becomes the output.
+            # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
+            # by their own reductions without the wrappers, so bit-identical.
+            # d becomes xhat in place, and the d * d buffer becomes the output.
+            mean[s] = np.add.reduce(x[s], axis=axes) / n
             d = np.subtract(x[s], mean[s].reshape(shape), out=xhat[s])
-            var[s] = np.multiply(d, d, out=out[s]).sum(axis=axes) / n
+            var[s] = np.add.reduce(np.multiply(d, d, out=out[s]), axis=axes) / n
             inv_std[s] = 1.0 / np.sqrt(var[s].reshape(shape) + self.eps)
             d *= inv_std[s]
             np.multiply(g[s], d, out=out[s])
@@ -380,15 +380,15 @@ class BatchNorm(Layer):
         dx = np.empty_like(grad)
         for s in _channel_blocks(grad):
             scratch = grad[s] * xhat[s]
-            self.gamma.grad[s] = scratch.sum(axis=axes)
-            self.beta.grad[s] = grad[s].sum(axis=axes)
+            self.gamma.grad[s] = np.add.reduce(scratch, axis=axes)
+            self.beta.grad[s] = np.add.reduce(grad[s], axis=axes)
             dxhat = np.multiply(grad[s], gamma[s], out=dx[s])
             # Standard batch-norm gradient with mean/var dependence folded in:
             # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
             # evaluated in place with the same operations in the same order.
-            dxhat_sum = dxhat.sum(axis=axes).reshape(shape)
+            dxhat_sum = np.add.reduce(dxhat, axis=axes).reshape(shape)
             np.multiply(dxhat, xhat[s], out=scratch)
-            dxhat_xhat_sum = scratch.sum(axis=axes).reshape(shape)
+            dxhat_xhat_sum = np.add.reduce(scratch, axis=axes).reshape(shape)
             dxhat *= n
             dxhat -= dxhat_sum
             dxhat -= np.multiply(xhat[s], dxhat_xhat_sum, out=scratch)
@@ -468,6 +468,6 @@ def svm_hinge_loss(scores: np.ndarray, labels: np.ndarray) -> LossGrad:
     targets = np.full(scores.shape, -1.0)
     targets[np.arange(batch), labels] = 1.0
     margins = np.maximum(0.0, 1.0 - targets * scores)
-    loss = float(np.mean(np.sum(margins**2, axis=1)))
+    loss = float(np.add.reduce(np.add.reduce(np.square(margins), axis=1))) / batch
     dscores = -2.0 * targets * margins / batch
     return LossGrad(loss=loss, dscores=dscores)

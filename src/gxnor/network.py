@@ -280,7 +280,8 @@ def _packed_weights(net: Network) -> dict:
     if not packed_eligible(net):
         raise ValueError("packed inference needs ternary unit-range weights and activations")
     return {id(layer): pack_ternary_matrix(layer.weight.value)
-            for layer in net.layers if isinstance(layer, Dense)}
+            for prev, layer in zip(net.layers, net.layers[1:])
+            if isinstance(prev, QuantAct) and isinstance(layer, Dense)}
 
 
 def packed_evaluate(net: Network, dataset: Dataset,

@@ -230,6 +230,18 @@ class TestCostModel:
         assert rows["bnn"][3:] == ["0", "0", "9", "1", "0.0%"]
         assert rows["gxnor"][7] == "55.6%"
 
+    @pytest.mark.parametrize("fan_in", ["2.5", "1e30", "0", "-3", "nan", "9,0", "abc", ","])
+    def test_fan_in_must_be_positive_integers(self, fan_in, capsys):
+        assert run("costmodel", "--fan-in", fan_in) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+    def test_several_fan_ins(self, capsys):
+        assert run("costmodel", "--fan-in", " 9, 16") == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["9"] * 5 + ["16"] * 5
+
     def test_checkpoint_table_uses_measured_distributions(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_BLOBS.to_text())

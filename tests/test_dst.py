@@ -47,8 +47,9 @@ def dense_projection(w, dw, hyper, rng):
 
 
 def dense_dst_run(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Reference DST training: Adam moments rebuilt each step, then dense projections."""
-    hyper = DstHyper(space=space, m=m)
+    """Reference DST training: Adam moments rebuilt each step, then dense projections,
+    one tensor at a time.  ``space`` is every tensor's grid, or a list of one per tensor."""
+    spaces = space if isinstance(space, list) else [space] * len(values)
     rngs = [param_stream(seed, i) for i in range(len(values))]
     values = [v.copy() for v in values]
     m1 = [np.zeros_like(v) for v in values]
@@ -59,7 +60,7 @@ def dense_dst_run(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps
             m2[i] = beta2 * m2[i] + (1.0 - beta2) * np.square(g)
             dw = -lr * (m1[i] / (1.0 - beta1**step)) / (
                 np.sqrt(m2[i] / (1.0 - beta2**step)) + eps)
-            values[i], _ = dense_projection(values[i], dw, hyper, rngs[i])
+            values[i], _ = dense_projection(values[i], dw, DstHyper(spaces[i], m), rngs[i])
     return values, m1, m2
 
 
@@ -340,6 +341,22 @@ class TestLrSchedule:
             lr_schedule(1e-2, 1e-4, 0)
 
 
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63),
+       sizes=st.lists(st.integers(min_value=0, max_value=40).map(lambda k: 2 * k + 1),
+                      min_size=1, max_size=6))
+def test_draws_into_slices_of_one_array_equal_draws_per_tensor(seed, sizes):
+    # DstOptimizer fills each tensor's slice of one flat draw array from the
+    # tensor's own stream; odd lengths leave Philox mid-block between calls.
+    ends = np.cumsum([0] + sizes)
+    flat = np.empty(ends[-1])
+    streams = [np.random.Generator(np.random.Philox(seed)) for _ in range(2)]
+    for a, b in zip(ends, ends[1:]):
+        streams[0].random(out=flat[a:b])
+    per_tensor = [streams[1].random(n) for n in sizes]
+    assert flat.tobytes() == np.concatenate(per_tensor).tobytes()
+
+
 class TestOptimizers:
     def test_grid_optimizer_keeps_weights_on_grid(self):
         space = make_space(2, 1.0)
@@ -393,6 +410,82 @@ class TestOptimizers:
             assert np.array_equal(p.m1, a) and np.array_equal(p.m2, b)
             assert not np.array_equal(p.value, v0)
 
+    def test_tensors_on_two_grids_match_per_tensor_reference(self):
+        # Tensors 0 and 2 share a grid, so the flat buffers hold them as
+        # 0, 2, 1.  Three all-zero steps leave no candidate anywhere.
+        spaces = [make_space(1, 1.0), make_space(2, 0.7), make_space(1, 1.0)]
+        shapes = [(7, 5), (40,), (3, 2, 4)]
+        g = np.random.default_rng(22)
+        init = [s.states()[g.integers(0, s.num_states, shape)]
+                for s, shape in zip(spaces, shapes)]
+        grads = [[np.zeros(shape) for shape in shapes] for _ in range(3)]
+        grads += [[g.normal(0, 1, shape) * 10.0 ** g.uniform(-3, 3, shape) for shape in shapes]
+                  for _ in range(27)]
+        params = [GridParam(value=v.copy(), space=s, rng=param_stream(6, i))
+                  for i, (v, s) in enumerate(zip(init, spaces))]
+        opt = DstOptimizer(params, m=2.0, lr=0.1)
+        for step, step_grads in enumerate(grads):
+            for p, grad in zip(params, step_grads):
+                p.grad = grad
+            opt.step()
+            if step < 3:
+                assert all(np.array_equal(p.value, v) for p, v in zip(params, init))
+        values, m1, m2 = dense_dst_run(init, grads, spaces, m=2.0, lr=0.1, seed=6)
+        for p, v, a, b, v0 in zip(params, values, m1, m2, init):
+            assert np.array_equal(p.value, v)
+            assert np.array_equal(p.m1, a) and np.array_equal(p.m2, b)
+            assert not np.array_equal(p.value, v0)
+
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_moments_are_updated_in_place(self, grid):
+        def param(i, shape):
+            if grid:
+                return GridParam(value=np.zeros(shape), space=TERNARY, rng=param_stream(3, i))
+            return RealParam(value=np.zeros(shape))
+        params = [param(0, (4, 3)), param(1, (5,))]
+        opt = (DstOptimizer if grid else AdamOptimizer)(params, lr=0.05)
+        moments = [(p.m1, p.m2) for p in params]
+        for _ in range(3):
+            for p in params:
+                p.grad = np.ones(p.value.shape)
+            opt.step()
+        for p, (m1, m2) in zip(params, moments):
+            assert p.m1 is m1 and p.m2 is m2
+            assert m1.shape == m2.shape == p.value.shape
+            assert np.all(m1 > 0) and np.all(m2 > 0)
+        # A second optimizer over the same tensors carries their moments over.
+        (DstOptimizer if grid else AdamOptimizer)(params[::-1])
+        for p, (m1, m2) in zip(params, moments):
+            assert p.m1 is not m1 and np.array_equal(p.m1, m1) and np.array_equal(p.m2, m2)
+
+    def test_rebound_values_and_gradients_are_used(self):
+        # Every step rebinds p.value to a fresh grid array and p.grad to a new
+        # gradient; the step must read and write those arrays.
+        space = make_space(2, 1.0)
+        g = np.random.default_rng(23)
+        rebound = GridParam(value=np.zeros((6, 6)), space=space, rng=param_stream(4, 0))
+        in_place = GridParam(value=np.zeros((6, 6)), space=space, rng=param_stream(4, 0))
+        opts = DstOptimizer([rebound], lr=0.3), DstOptimizer([in_place], lr=0.3)
+        hops = 0
+        for _ in range(10):
+            start = space.states()[g.integers(0, space.num_states, (6, 6))]
+            grad = g.normal(0, 1, (6, 6))
+            rebound.value, rebound.grad = start.copy(), grad.copy()
+            in_place.value[...], in_place.grad = start, grad
+            fresh = rebound.value
+            for opt in opts:
+                opt.step()
+            assert rebound.value is fresh
+            assert np.array_equal(rebound.value, in_place.value)
+            hops += int(np.count_nonzero(rebound.value != start))
+        assert hops > 0
+
+    def test_params_must_share_a_step_count(self):
+        params = [RealParam(value=np.zeros(2)), RealParam(value=np.zeros(2))]
+        params[1].step = 4
+        with pytest.raises(ValueError, match="step count"):
+            AdamOptimizer(params)
+
     def test_identical_seeds_identical_trajectories(self):
         def run():
             space = make_space(1, 1.0)
@@ -424,6 +517,20 @@ class TestValidation:
             params[1].grad = np.array([0.5, bad, 0.5])
             with pytest.raises(ValueError, match="grid tensor 1 of shape"):
                 opt.step()
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_non_finite_increment_names_a_later_tensor(self, bad):
+        # Tensor 1 is on another grid, so the flat buffers hold the tensors
+        # as 0, 2, 1; the message still names the index in the given list.
+        spaces = [TERNARY, make_space(2, 1.0), TERNARY]
+        params = [GridParam(value=np.zeros(k + 2), space=s, rng=param_stream(1, k))
+                  for k, s in enumerate(spaces)]
+        opt = DstOptimizer(params)
+        for p in params:
+            p.grad = np.ones(p.value.shape)
+        params[bad].grad[-1] = np.nan
+        with pytest.raises(ValueError, match=f"grid tensor {bad} of shape \\({bad + 2},\\)"):
+            opt.step()
 
     def test_overflowing_gradient_is_rejected(self):
         # 1e160 squares to inf: the second moment overflows while the

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+import gxnor.network
 from gxnor.data import Dataset, synthetic_blobs
 from gxnor.dst import AdamOptimizer, DstOptimizer
+from gxnor.kernel import pack_ternary_matrix
 from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct
 from gxnor.network import (
     EVAL_BATCH,
@@ -393,6 +395,24 @@ class TestPackedInference:
                 x = layer.forward(x, training=False)
             ternary_in = isinstance(layer, QuantAct)
         assert seen_hidden_dense
+
+    def test_first_layer_weights_are_never_packed(self, monkeypatch):
+        # The first dense layer sees real pixels and runs on the float path,
+        # so packing its 784-lane weights would be wasted work.
+        net = build_network("mlp-784-24-16-10", seed=3)
+        g = np.random.default_rng(4)
+        data = Dataset(images=np.clip(g.normal(0, 0.5, (60, 1, 28, 28)), -1, 1),
+                       labels=g.integers(0, 10, 60), classes=10)
+        lanes = []
+
+        def spy(values):
+            lanes.append(np.shape(values)[1])
+            return pack_ternary_matrix(values)
+        monkeypatch.setattr(gxnor.network, "pack_ternary_matrix", spy)
+        packed_acc, _ = packed_evaluate(net, data)
+        accuracy, _, _ = check_packed_scores(net, data, batch_size=25)
+        assert lanes and 784 not in lanes
+        assert packed_acc == accuracy == evaluate(net, data)[0]
 
     def test_eligibility_is_ternary_unit_dense_only(self):
         shape = dict(input_shape=(1, 1, 16), classes=4)
