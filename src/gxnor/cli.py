@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import os
 import sys
+from math import prod
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, write_metrics, write_sweep_table
 from .data import DataError, fetch_mnist, resolve_dataset
 from .kernel import Architecture, count_ops
-from .layers import Conv2d, Dense, QuantAct
+from .layers import QuantAct
 from .network import (
     check_packed_scores,
     evaluate,
@@ -217,19 +218,14 @@ def cmd_costmodel(args) -> int:
     quant_seen = 0
     a_dist = {1.0: 1.0}  # first weighted layer sees continuous, never-zero input
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, Dense):
-            fan_in, w = layer.in_features, layer.weight.value
-        elif isinstance(layer, Conv2d):
-            fan_in = layer.in_channels * layer.kernel_size**2
-            w = layer.weight.value
-        else:
-            if isinstance(layer, QuantAct) and quant_seen < len(fractions):
-                zero = fractions[quant_seen]
-                a_dist = {0.0: zero, 1.0: (1 - zero) / 2, -1.0: (1 - zero) / 2}
-                quant_seen += 1
-            continue
-        for row in _cost_rows(f"layer{i}", fan_in, _empirical_dist(w), a_dist):
-            print(row)
+        for p in layer.grid_params():
+            fan_in = prod(p.value.shape[1:])
+            for row in _cost_rows(f"layer{i}", fan_in, _empirical_dist(p.value), a_dist):
+                print(row)
+        if isinstance(layer, QuantAct) and quant_seen < len(fractions):
+            zero = fractions[quant_seen]
+            a_dist = {0.0: zero, 1.0: (1 - zero) / 2, -1.0: (1 - zero) / 2}
+            quant_seen += 1
     return 0
 
 

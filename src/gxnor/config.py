@@ -164,8 +164,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def write_metrics(path: str, config: RunConfig, records: list[MetricsRecord]) -> None:
     lines = [f"# metrics_version={METRICS_VERSION}"]
-    lines += [f"# config_version={CONFIG_VERSION}"]
-    lines += [f"# {k}={_fmt(v)}" for k, v in asdict(config).items()]
+    lines += [f"# {line}" for line in config.to_text().splitlines()]
     lines.append(",".join(METRICS_COLUMNS))
     for rec in records:
         lines.append(

@@ -16,8 +16,12 @@ weights stay put exactly as the full law would leave them (see
 
 An optimizer step is one flat pass: the gradients are gathered into one vector,
 and the Adam moments live in one flat buffer each, of which every tensor's
-``m1``/``m2`` is a view updated in place.  Each tensor draws from its own
-counter-based Philox stream, so trajectories do not depend on update scheduling.
+``m1``/``m2`` is a view updated in place.  The optimizer owns that Adam state:
+the moments start at zero, one step count ``t`` serves all its tensors, and the
+Adam constants are fixed.  A :class:`DstOptimizer` serves the tensors of one
+grid, so the projection is one pass over the flat vector too.  Each tensor
+draws from its own counter-based Philox stream, so trajectories do not depend
+on update scheduling.
 """
 
 from __future__ import annotations
@@ -169,7 +173,6 @@ class RealParam:
     grad: np.ndarray | None = None
     m1: np.ndarray | None = field(init=False, default=None)
     m2: np.ndarray | None = field(init=False, default=None)
-    step: int = 0
 
 
 @dataclass(kw_only=True)
@@ -181,51 +184,44 @@ class GridParam(RealParam):
 
 
 class AdamOptimizer:
-    """Bias-corrected Adam; full-precision parameters add the increment as is."""
+    """Bias-corrected Adam at its published constants (Kingma & Ba, 2015);
+    full-precision parameters add the increment as is."""
 
-    def __init__(self, params: list[RealParam], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if not (0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ValueError("Adam decay rates must lie strictly inside (0, 1)")
-        if len({p.step for p in params}) > 1:
-            raise ValueError("the parameters of one optimizer must share one step count")
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[RealParam], lr: float = 0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.t = 0
         ends = np.cumsum([0] + [p.value.size for p in params]).tolist()
         self._spans = list(zip(params, ends, ends[1:]))
         # Zeroed pages are only touched by the first step.
         self._m1, self._m2 = np.zeros(ends[-1]), np.zeros(ends[-1])
         for p, lo, hi in self._spans:
-            if p.m1 is not None:  # moments from an earlier optimizer carry over
-                self._m1[lo:hi], self._m2[lo:hi] = p.m1.ravel(), p.m2.ravel()
             p.m1, p.m2 = (m[lo:hi].reshape(p.value.shape) for m in (self._m1, self._m2))
 
     def step(self) -> None:
         if not self.params:
             return
-        for p in self.params:
-            p.step += 1
-        grads = np.concatenate([p.grad for p, _, _ in self._spans], axis=None)
-        self._apply(self._increment(grads, self.params[0].step))
+        self.t += 1
+        grads = np.concatenate([p.grad for p in self.params], axis=None)
+        self._apply(self._increment(grads))
 
-    def _increment(self, g: np.ndarray, step: int) -> np.ndarray:
+    def _increment(self, g: np.ndarray) -> np.ndarray:
         """Update the moments in place and return the increment; the flat
         gradient ``g`` and one scratch array hold every temporary in turn."""
-        dw = np.multiply(g, 1.0 - self.beta1)
-        self._m1 *= self.beta1
+        dw = np.multiply(g, 1.0 - self.BETA1)
+        self._m1 *= self.BETA1
         self._m1 += dw
         np.square(g, out=g)
-        g *= 1.0 - self.beta2
-        self._m2 *= self.beta2
+        g *= 1.0 - self.BETA2
+        self._m2 *= self.BETA2
         self._m2 += g
-        np.divide(self._m1, 1.0 - self.beta1**step, out=dw)
+        np.divide(self._m1, 1.0 - self.BETA1**self.t, out=dw)
         dw *= -self.lr
-        np.divide(self._m2, 1.0 - self.beta2**step, out=g)
+        np.divide(self._m2, 1.0 - self.BETA2**self.t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += self.EPS
         dw /= g
         return dw
 
@@ -235,17 +231,16 @@ class AdamOptimizer:
 
 
 class DstOptimizer(AdamOptimizer):
-    """Adam increments projected stochastically onto each tensor's grid, one pass per grid."""
+    """Adam increments projected stochastically onto the one grid its tensors share."""
 
-    def __init__(self, params: list[GridParam], m: float = 3.0, lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[GridParam], m: float = 3.0, lr: float = 0.01):
         if not m > 0:
             raise ValueError(f"transition factor must be positive, got {m}")
-        grids = list(dict.fromkeys(p.space for p in params))
-        super().__init__(sorted(params, key=lambda p: grids.index(p.space)), lr, beta1, beta2, eps)
-        self.params = params  # the caller's order, which error messages use
-        self.m = m
-        self._grids = [[t for t in self._spans if t[0].space == s] for s in grids]
+        grids = {p.space for p in params}
+        if len(grids) > 1:
+            raise ValueError(f"the tensors of one DST optimizer must share one grid, got {grids}")
+        super().__init__(params, lr)
+        self._hyper = DstHyper(grids.pop(), m) if grids else None
 
     def _apply(self, dw: np.ndarray) -> None:
         # A finite second moment implies a finite increment.  The converse
@@ -260,14 +255,11 @@ class DstOptimizer(AdamOptimizer):
         u = np.empty(dw.size)
         for p, lo, hi in self._spans:
             p.rng.random(out=u[lo:hi])
-        for spans in self._grids:
-            lo, hi = spans[0][1], spans[-1][2]
-            hyper = DstHyper(spans[0][0].space, self.m)
-            idx = _candidates(dw[lo:hi], u[lo:hi], hyper) + lo
-            cuts = idx.searchsorted([a for _, a, _ in spans] + [hi])
-            parts = [(p, idx[c:d] - a) for (p, a, _), c, d in zip(spans, cuts, cuts[1:])]
-            new, _ = _land(np.concatenate([p.value.take(j) for p, j in parts]), dw, u, idx, hyper)
-            # Only the candidates are read and written, in whatever array p.value
-            # is now.  Full-size copies or new buffers each step raise peak RSS.
-            for (p, j), c, d in zip(parts, cuts, cuts[1:]):
-                p.value.put(j, new[c:d])
+        idx = _candidates(dw, u, self._hyper)
+        cuts = idx.searchsorted([lo for _, lo, _ in self._spans] + [dw.size])
+        parts = [(p, idx[c:d] - lo) for (p, lo, _), c, d in zip(self._spans, cuts, cuts[1:])]
+        new, _ = _land(np.concatenate([p.value.take(j) for p, j in parts]), dw, u, idx, self._hyper)
+        # Only the candidates are read and written, in whatever array p.value
+        # is now.  Full-size copies or new buffers each step raise peak RSS.
+        for (p, j), c, d in zip(parts, cuts, cuts[1:]):
+            p.value.put(j, new[c:d])

@@ -182,12 +182,15 @@ def build_network(
 
 def network_from_config(config: RunConfig, input_shape, classes: int) -> Network:
     """The network ``config`` names, for ``classes``-way data of ``input_shape``."""
-    return build_network(
+    net = build_network(
         config.architecture,
         n1=config.n1, n2=config.n2, h=config.h, r=config.r,
         surrogate=config.surrogate, a=config.a, seed=config.seed,
         input_shape=tuple(input_shape), classes=classes,
     )
+    if net.classes != classes:
+        raise ValueError(f"{net.classes} outputs, but the data has {classes} classes")
+    return net
 
 
 def train_step(net: Network, images: np.ndarray, labels: np.ndarray,

@@ -222,6 +222,7 @@ MALFORMED = (
         pytest.param(_set("nbytes", -8, array=0), id="negative-nbytes"),
         pytest.param(_set("nbytes", True, array=0), id="boolean-nbytes"),
         pytest.param(_set("classes", True), id="boolean-classes"),
+        pytest.param(_set("classes", 5), id="classes-not-of-architecture"),
         pytest.param(_set("shape", [1.5], array=0), id="mistyped-shape-entry"),
         pytest.param(_set("shape", [2], array=0), id="shape-not-of-nbytes"),
         pytest.param(_set("value_shape", [3, 3], array=0), id="value_shape-not-of-network"),

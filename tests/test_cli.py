@@ -271,12 +271,15 @@ class TestExitCodes:
         bad.write_text("config_version=1\nepochs=0\n")
         assert run("train", "--config", str(bad), "--out-dir", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("architecture", ["mlp-16-32-4x", "mlp-15-32-4"])
+    # blobs has 16 features and 4 classes
+    @pytest.mark.parametrize("architecture",
+                             ["mlp-16-32-4x", "mlp-15-32-4", "mlp-16-32-3", "mlp-16-32-5"])
     def test_bad_architecture_is_config_error(self, tmp_path, capsys, architecture):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())
         assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
         assert architecture in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_multilevel_span_is_config_error_naming_r(self, tmp_path, capsys):
         cfg = tmp_path / "span.cfg"
