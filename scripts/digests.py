@@ -1,0 +1,104 @@
+"""Trajectory digests of one seed, to check that a change keeps runs bit for bit.
+
+    python3 scripts/digests.py --seed 1
+
+Run it on two checkouts and diff the output.  It prints one sha256 per line:
+
+* ``blobs_metrics_csv`` and ``blobs_model_gxnr``: the two files that
+  ``gxnor train --config configs/blobs.cfg --seed N`` writes;
+* ``mlp_train_losses``: the per-step losses of perfbench's mlp-train run,
+  the ``loss_sequence_sha256`` that it reports;
+* ``conv_6_steps``: six seeded training steps of
+  ``conv-32c5-mp2-64c5-mp2-512fc`` on perfbench's synthetic images.  It
+  hashes the losses, then every grid weight tensor, then each batch norm's
+  gamma, beta and running statistics, then both optimizers' Adam moments.
+
+The package and the workloads come from this checkout's ``src/`` and
+``perfbench/``.  Results can depend on the BLAS build and its thread count,
+so compare digests made on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import gxnor  # noqa: E402
+import gxnor.cli  # noqa: E402
+import workloads  # noqa: E402
+
+CONV_STEPS = 6
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def blobs_digests(seed: int) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["train", "--config", os.path.join(ROOT, "configs", "blobs.cfg"),
+                "--seed", str(seed), "--out-dir", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gxnor.cli.main(argv)
+        if code != 0:
+            sys.exit(f"gxnor train on blobs exited {code}")
+        return {"blobs_metrics_csv": file_digest(os.path.join(out, "metrics.csv")),
+                "blobs_model_gxnr": file_digest(os.path.join(out, "model.gxnr"))}
+
+
+def mlp_digest(seed: int) -> str:
+    stats = workloads.Stats()
+    with tempfile.TemporaryDirectory() as work:
+        run = workloads.MlpTrain(seed, ROOT, work)
+        run.setup(stats)
+    if stats.failed:
+        sys.exit(f"mlp-train run failed its checks: {stats.errors}")
+    return run.digests()["loss_sequence_sha256"]
+
+
+def conv_digest(seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    train = workloads.synthetic_images(rng, CONV_STEPS * workloads.BATCH)
+    net = gxnor.build_network(workloads.CONV, seed=seed)
+    grid = gxnor.DstOptimizer(net.grid_params())
+    real = gxnor.AdamOptimizer(net.real_params())
+    losses = [gxnor.train_step(net, images, labels, grid, real)
+              for images, labels in gxnor.batches(train, workloads.BATCH, seed)]
+    arrays = [np.asarray(losses)]
+    arrays += [p.value for p in net.grid_params()]
+    for layer in net.layers:
+        if isinstance(layer, gxnor.BatchNorm):
+            arrays += [layer.gamma.value, layer.beta.value,
+                       layer.running_mean, layer.running_var]
+    arrays += [m for p in net.grid_params() + net.real_params() for m in (p.m1, p.m2)]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    seed = parser.parse_args(argv).seed
+    digests = blobs_digests(seed)
+    digests["mlp_train_losses"] = mlp_digest(seed)
+    digests["conv_6_steps"] = conv_digest(seed)
+    for name, value in digests.items():
+        print(f"{name} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from math import prod
 
 import numpy as np
@@ -48,6 +48,10 @@ HEADER_KEYS = {
 ARRAY_KEYS = {"name": str, "encoding": str, "dtype": str, "shape": list, "offset": int,
               "nbytes": int}
 ENCODING_DTYPES = {"ternary-planes": "<u8", "grid-index": "<u2", "float": "<f8"}
+# The embedded config carries every RunConfig field; an int is a valid float.
+CONFIG_KEYS = {f.name: {"int": int, "float": (int, float), "str": str}[f.type]
+               for f in fields(RunConfig)}
+BN_ARRAYS = ("gamma", "beta", "running_mean", "running_var")
 
 
 def _check_keys(obj, keys: dict, path: str, what: str) -> None:
@@ -107,10 +111,9 @@ def save_checkpoint(
         if isinstance(layer, (Dense, Conv2d)):
             _add_grid_tensor(writer, f"layer{i}.weight", layer.weight)
         elif isinstance(layer, BatchNorm):
-            writer.add(f"layer{i}.gamma", "float", layer.gamma.value, "<f8")
-            writer.add(f"layer{i}.beta", "float", layer.beta.value, "<f8")
-            writer.add(f"layer{i}.running_mean", "float", layer.running_mean, "<f8")
-            writer.add(f"layer{i}.running_var", "float", layer.running_var, "<f8")
+            state = (layer.gamma.value, layer.beta.value, layer.running_mean, layer.running_var)
+            for name, arr in zip(BN_ARRAYS, state):
+                writer.add(f"layer{i}.{name}", "float", arr, "<f8")
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
@@ -145,6 +148,10 @@ def _read_header(blob: bytes, path: str) -> tuple[dict, bytes]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     _check_keys(header, HEADER_KEYS, path, "header")
+    _check_keys(header["config"], CONFIG_KEYS, path, "embedded config")
+    fractions = header["activation_zero_fractions"] or []
+    if not all(type(z) in (int, float) and 0 <= z <= 1 for z in fractions):
+        raise CheckpointError(f"{path}: activation zero fractions must be numbers in [0, 1]")
     for desc in header["arrays"]:
         _check_keys(desc, ARRAY_KEYS, path, "array descriptor")
         if ENCODING_DTYPES.get(desc["encoding"]) != desc["dtype"]:
@@ -204,10 +211,11 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
                     mask=grab(f"layer{i}.weight.mask", planes_shape),
                     sign=grab(f"layer{i}.weight.sign", planes_shape),
                 )
-                value_shape = by_name[f"layer{i}.weight.mask"].get("value_shape")
-                if value_shape != list(shape):
-                    raise CheckpointError(
-                        f"{path}: layer {i} weight shape {value_shape} should be {list(shape)}")
+                for plane in ("mask", "sign"):
+                    value_shape = by_name[f"layer{i}.weight.{plane}"].get("value_shape")
+                    if value_shape != list(shape):
+                        raise CheckpointError(f"{path}: layer {i} weight shape {value_shape} "
+                                              f"should be {list(shape)}")
                 layer.weight.value = (unpack_ternary(planes) * space.h).reshape(shape)
             else:
                 idx = grab(f"layer{i}.weight", shape).astype(np.int64)
@@ -216,8 +224,11 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
                 layer.weight.value = space.states()[idx]
         elif isinstance(layer, BatchNorm):
             shape = layer.gamma.value.shape
-            layer.gamma.value = grab(f"layer{i}.gamma", shape).copy()
-            layer.beta.value = grab(f"layer{i}.beta", shape).copy()
-            layer.running_mean = grab(f"layer{i}.running_mean", shape).copy()
-            layer.running_var = grab(f"layer{i}.running_var", shape).copy()
+            gamma, beta, mean, var = (grab(f"layer{i}.{name}", shape).copy()
+                                      for name in BN_ARRAYS)
+            if not (np.isfinite([gamma, beta, mean, var]).all() and (var >= 0).all()):
+                raise CheckpointError(
+                    f"{path}: layer {i} batch-norm state is not finite or has a negative variance")
+            layer.gamma.value, layer.beta.value = gamma, beta
+            layer.running_mean, layer.running_var = mean, var
     return net, config, header

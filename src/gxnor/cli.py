@@ -91,16 +91,19 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _train_once(config: RunConfig, train_ds, test_ds, quiet: bool = False,
+def _network(config: RunConfig, train_ds):
+    try:
+        return network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
+    except ValueError as exc:
+        raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
+
+
+def _train_once(config: RunConfig, net, train_ds, test_ds, quiet: bool = False,
                 on_epoch=None):
     if config.lr_fin > config.lr_start:
         log.warning(
             "lr_fin (%g) exceeds lr_start (%g): learning rate will grow each epoch",
             config.lr_fin, config.lr_start)
-    try:
-        net = network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
-    except ValueError as exc:
-        raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
     def report(rec):
         if not quiet:
             print(f"epoch {rec.epoch:3d}  loss {rec.train_loss:.4f}  "
@@ -120,6 +123,7 @@ def _train_once(config: RunConfig, train_ds, test_ds, quiet: bool = False,
 def cmd_train(args) -> int:
     config = _load_config(args)
     train_ds, test_ds = resolve_dataset(config.dataset, args.data_dir)
+    net = _network(config, train_ds)  # a config error leaves no --out-dir behind
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     ckpt_path = os.path.join(args.out_dir, "model.gxnr")
@@ -129,7 +133,7 @@ def cmd_train(args) -> int:
     def persist(rec):
         so_far.append(rec)
         write_metrics(metrics_path, config, so_far)
-    net, records = _train_once(config, train_ds, test_ds, on_epoch=persist)
+    net, records = _train_once(config, net, train_ds, test_ds, on_epoch=persist)
     # The last epoch's test-set pass ran on the final weights, so its
     # per-layer zero fractions are the trained model's.
     save_checkpoint(ckpt_path, net, config,
@@ -174,7 +178,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, point in zip(values, points):
         print(f"--- {args.param}={value}")
-        _, records = _train_once(point, train_ds, test_ds, quiet=True)
+        _, records = _train_once(point, _network(point, train_ds), train_ds, test_ds,
+                                 quiet=True)
         accuracy = records[-1].test_accuracy
         print(f"{args.param}={value} test_accuracy={accuracy!r}")
         rows.append((value, accuracy))

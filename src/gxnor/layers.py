@@ -14,6 +14,14 @@ Inside a conv net every 4-D activation is channel-major and batch-last,
 ``(c, h, w, b)``: ``Conv2d``, ``MaxPool2d`` and ``BatchNorm`` take and give
 that layout, and a batch-last ``Flatten`` turns it into ``(b, c*h*w)`` rows
 in ``(c, h, w)`` feature order, so dense layers see ``(b, features)``.
+
+Every layer computes in float64, with one exception.  A ``QuantAct`` gives
+float32 output when ``build_network`` finds that the next weighted layer is a
+``Conv2d`` whose forward is exact on it.  That needs a power-of-two ``h`` and
+``c*k*k * M_w * M_a <= 2**24``, where ``M = 2**(n-1)`` for a grid with
+``n >= 1`` and 1 for a binary grid.  That conv then runs a float32 GEMM,
+which gives the float64 GEMM's bits.  Every ``Conv2d`` and ``Dense`` returns
+float64, and every backward pass is float64.
 """
 
 from __future__ import annotations
@@ -127,21 +135,30 @@ class Conv2d(Layer):
     """Valid, stride-1 cross-correlation with grid-valued kernels (out_c, in_c, k, k).
 
     Input ``(c, h, w, b)``, output ``(o, oh, ow, b)``: channel-major and
-    batch-last.  Runs as im2col on BLAS one kernel row at a time (Chellapilla,
-    Puri & Simard 2006): row ``u``'s columns are
-    ``cols[(c, v), (i, j, b)] = x[c, i+u, j+v, b]``, built by ``k`` slice
-    copies of ``ow*b``-long runs into one buffer that every row reuses, and
-    its contribution to the output is one matmul with ``W[:, :, u, :]`` whose
-    ``(o, oh*ow*b)`` product is already in the output layout.  Output rows go
-    through in blocks of about ``BLOCK_BYTES`` of output, so that a block's
-    accumulator stays in cache; each output value is the same sum, in the
-    same order, for any block size.  Backward scatter-adds the input gradient over
-    the same runs, and skips it in a network's first weighted layer.
+    batch-last.  Runs as im2col on BLAS (Chellapilla, Puri & Simard 2006),
+    one GEMM per block of output rows: a block's columns are
+    ``cols[(c, u, v), (i, j, b)] = x[c, i+u, j+v, b]``, built by ``k*k``
+    slice copies into one buffer that every block reuses, and the block's
+    output is one matmul of the ``(o, c*k*k)`` kernel with them, whose
+    product is already in the output layout.  A block holds about
+    ``BLOCK_BYTES`` of columns, so they stay in cache.  Block size does not
+    change grid-valued outputs; real-valued ones may change in their last
+    bits, because BLAS may sum a GEMM's last few columns in another order.
+    Backward adds ``g @ cols.T`` to the kernel gradient and scatter-adds
+    ``W.T @ g`` over the same taps into the input gradient, and skips the
+    latter in a network's first weighted layer.
+
+    Forward computes in its input's dtype (only the kernel is cast) and
+    returns float64.  A float32 input is exact when both operands are on
+    grids with a power-of-two ``h`` and ``c*k*k * M_w * M_a <= 2**24``, where
+    ``M = 2**(n-1)`` (1 for a binary grid): every partial sum is then an
+    integer multiple of the product of the two grid units, at most ``2**24``
+    of them, so float32 holds it exactly in any summation order.
+    ``build_network`` feeds a conv float32 only then (see :class:`QuantAct`).
+    Backward runs in float64 whatever the input dtype.
     """
 
-    # About a 2 MB L2 cache's worth of accumulator, partial product and
-    # columns.  The MNIST net's conv1 (5 values per column) runs about twice
-    # as fast as with unblocked rows; conv2 (800) is bound by its GEMMs.
+    # About a 2 MB L2 cache's worth of columns and their product.
     BLOCK_BYTES = 3 << 19
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -165,26 +182,25 @@ class Conv2d(Layer):
             raise ValueError(f"input {h}x{w} smaller than kernel {k}x{k}")
         return h - k + 1, w - k + 1
 
-    def _blocks(self, oh: int, ow: int, b: int) -> tuple[list[tuple[int, int]], int]:
+    def _blocks(self, oh: int, ow: int, b: int,
+                itemsize: int) -> tuple[list[tuple[int, int]], int]:
         """Output row blocks [i0, i1) and the values in the largest column block."""
-        rows = max(1, self.BLOCK_BYTES // (8 * self.out_channels * ow * b))
+        per_row = self.in_channels * self.kernel_size ** 2 * ow * b
+        rows = max(1, self.BLOCK_BYTES // (itemsize * per_row))
         blocks = [(i0, min(i0 + rows, oh)) for i0 in range(0, oh, rows)]
-        return blocks, self.in_channels * self.kernel_size * min(rows, oh) * ow * b
+        return blocks, per_row * min(rows, oh)
 
-    def _columns(self, x: np.ndarray, u: int, i0: int, i1: int, buf: np.ndarray) -> np.ndarray:
-        """Kernel row u's im2col block for output rows [i0, i1), in the flat buffer buf:
-        (c*k, (i1-i0)*ow*b) with [(c, v), (i, j, b)] = x[c, i0+i+u, j+v, b]."""
+    def _columns(self, x: np.ndarray, i0: int, i1: int, buf: np.ndarray) -> np.ndarray:
+        """The im2col block of output rows [i0, i1), in the flat buffer buf:
+        (c*k*k, (i1-i0)*ow*b) with [(c, u, v), (i, j, b)] = x[c, i0+i+u, j+v, b]."""
         c, _, w, b = x.shape
         k = self.kernel_size
         ow = w - k + 1
-        cols = buf[:c * k * (i1 - i0) * ow * b].reshape(c, k, i1 - i0, ow, b)
-        for v in range(k):
-            cols[:, v] = x[:, i0 + u:i1 + u, v:v + ow]
-        return cols.reshape(c * k, -1)
-
-    def _row_weights(self, u: int) -> np.ndarray:
-        o, c, k, _ = self.weight.value.shape
-        return self.weight.value[:, :, u, :].reshape(o, c * k)
+        cols = buf[:c * k * k * (i1 - i0) * ow * b].reshape(c, k, k, i1 - i0, ow, b)
+        for u in range(k):
+            for v in range(k):
+                cols[:, u, v] = x[:, i0 + u:i1 + u, v:v + ow]
+        return cols.reshape(c * k * k, -1)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
@@ -192,44 +208,43 @@ class Conv2d(Layer):
         _, h, w, b = x.shape
         oh, ow = self._out_hw(h, w)
         o = self.out_channels
+        kernel = self.weight.value.reshape(o, -1).astype(x.dtype, copy=False)
         out = np.empty((o, oh, ow, b))
-        blocks, cols_size = self._blocks(oh, ow, b)
-        cols_buf = np.empty(cols_size)
-        part_buf = np.empty(o * (blocks[0][1] - blocks[0][0]) * ow * b)
+        blocks, cols_size = self._blocks(oh, ow, b, x.itemsize)
+        cols_buf = np.empty(cols_size, x.dtype)
         for i0, i1 in blocks:
             acc = out[:, i0:i1].reshape(o, -1)  # a view: rows i0..i1 of every channel
-            np.matmul(self._row_weights(0), self._columns(x, 0, i0, i1, cols_buf), out=acc)
-            part = part_buf[:acc.size].reshape(acc.shape)
-            for u in range(1, self.kernel_size):
-                acc += np.matmul(self._row_weights(u), self._columns(x, u, i0, i1, cols_buf),
-                                 out=part)
+            cols = self._columns(x, i0, i1, cols_buf)
+            if x.dtype == out.dtype:
+                np.matmul(kernel, cols, out=acc)
+            else:
+                acc[...] = kernel @ cols  # NumPy's matmul casts into acc without BLAS
         if training:
             self._x = x
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
         x = self._x
-        c = self.in_channels
         o, oh, ow, b = grad.shape
-        k = self.kernel_size
-        blocks, cols_size = self._blocks(oh, ow, b)
+        c, k = self.in_channels, self.kernel_size
+        kernel = self.weight.value.reshape(o, -1)
+        blocks, cols_size = self._blocks(oh, ow, b, grad.itemsize)
         cols_buf = np.empty(cols_size)
-        dkernel = np.zeros_like(self.weight.value)
-        part = np.empty((o, c * k))
-        dx = np.zeros_like(x) if self.input_grad else None
+        dkernel = np.zeros(kernel.shape)
+        # np.zeros(x.shape), not zeros_like: the input gradient is float64
+        # even where the input was float32.
+        dx = np.zeros(x.shape) if self.input_grad else None
         dcols_buf = np.empty(cols_size) if self.input_grad else None
         for i0, i1 in blocks:
             g = grad[:, i0:i1].reshape(o, -1)  # column order (i, j, b)
-            for u in range(k):
-                cols = self._columns(x, u, i0, i1, cols_buf)
-                dkernel[:, :, u, :] += np.matmul(g, cols.T, out=part).reshape(o, c, k)
-                if dx is not None:
-                    dcols = dcols_buf[:cols.size].reshape(cols.shape)
-                    taps = np.matmul(self._row_weights(u).T, g, out=dcols).reshape(
-                        c, k, i1 - i0, ow, b)
+            dkernel += g @ self._columns(x, i0, i1, cols_buf).T
+            if dx is not None:
+                dcols = dcols_buf[:kernel.shape[1] * g.shape[1]].reshape(-1, g.shape[1])
+                taps = np.matmul(kernel.T, g, out=dcols).reshape(c, k, k, i1 - i0, ow, b)
+                for u in range(k):
                     for v in range(k):
-                        dx[:, i0 + u:i1 + u, v:v + ow] += taps[:, v]
-        self.weight.grad = dkernel
+                        dx[:, i0 + u:i1 + u, v:v + ow] += taps[:, u, v]
+        self.weight.grad = dkernel.reshape(self.weight.value.shape)
         return dx
 
     def grid_params(self) -> list[GridParam]:
@@ -406,7 +421,15 @@ class QuantAct(Layer):
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)``; tri pulses cache the input and rebuild the
     surrogate.  Forward goes through :func:`_channel_blocks`.
+
+    Forward's output has dtype ``dtype``: float64 unless ``build_network``
+    sets float32, which it does only for a ``QuantAct`` whose next weighted
+    layer is a ``Conv2d`` that computes exactly in float32 on it (power-of-two
+    ``h`` and ``c*k*k * M_w * M_a <= 2**24``; see :class:`Conv2d`).  Grid
+    values are exact in float32, and backward is float64 either way.
     """
+
+    dtype = np.float64
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
         # Multi-level bands only exist for r < h; binary/ternary thresholds may
@@ -428,10 +451,10 @@ class QuantAct(Layer):
         blocks = _channel_blocks(x)
         if len(blocks) == 1:
             # The quantizer's own output: no second full-size array.
-            out = self._activation(x)
+            out = self._activation(x).astype(self.dtype, copy=False)
             count = rect_pulse_count(x, self.space, self.spec) if counting else None
         else:
-            out = np.empty(x.shape)
+            out = np.empty(x.shape, self.dtype)
             count = None
             for s in blocks:
                 out[s] = self._activation(x[s])

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import time
-from math import prod
+from math import frexp, prod
 
 import numpy as np
 
@@ -111,6 +111,24 @@ def _quant_block(space: DiscreteSpace, spec: SurrogateSpec, features: int):
     return [BatchNorm(features), QuantAct(space, spec)]
 
 
+def _exact_in_float32(w_space: DiscreteSpace, a_space: DiscreteSpace, fan_in: int) -> bool:
+    """Whether every dot product of ``fan_in`` grid weights and grid activations
+    is exact in float32: power-of-two ``h``, ``fan_in * M_w * M_a <= 2**24``.
+
+    Each value is an integer multiple of its grid unit ``h / M``, ``M =
+    2**(n-1)`` (1 for binary), so each partial sum is an integer multiple of
+    the units' product, at most ``fan_in * M_w * M_a`` of them.  ``h`` within
+    ``2**±40`` keeps units and sums in float32's normal range.
+    """
+    units = fan_in
+    for space in (w_space, a_space):
+        mantissa, exponent = frexp(space.h)
+        if mantissa != 0.5 or abs(exponent) > 40:
+            return False
+        units *= 2 ** (space.n - 1) if space.n >= 1 else 1
+    return units <= 1 << 24
+
+
 def build_network(
     architecture: str,
     *,
@@ -153,6 +171,10 @@ def build_network(
         for token in architecture[5:].split("-"):
             if m := re.fullmatch(r"(\d+)c(\d+)", token):
                 out_c, k = int(m.group(1)), int(m.group(2))
+                # The last QuantAct so far feeds this conv; every other stays float64.
+                feed = next((l for l in reversed(layers) if isinstance(l, QuantAct)), None)
+                if feed is not None and _exact_in_float32(w_space, a_space, chans * k * k):
+                    feed.dtype = np.float32
                 layers.append(Conv2d(chans, out_c, k, w_space, seed, widx))
                 widx += 1
                 chans, height, width = out_c, height - k + 1, width - k + 1

@@ -2,9 +2,11 @@
 
 import json
 import struct
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gxnor.cli import main
 from gxnor.checkpoint import (
@@ -240,3 +242,106 @@ def test_malformed_header_is_checkpoint_error(tmp_path, capsys, mutate):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", path]) == 4
     assert "runtime error" in capsys.readouterr().err
+
+
+# Fuzzing: a corrupt file must end in CheckpointError and `gxnor eval` exit 4,
+# never a traceback.
+
+@pytest.fixture(scope="module")
+def blobs_gxnr(tmp_path_factory):
+    """A trained blobs checkpoint's bytes, and a scratch path to corrupt copies at."""
+    cfg = blobs_config()
+    net, _ = trained(cfg)
+    root = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(str(root / "model.gxnr"), net, cfg)
+    return (root / "model.gxnr").read_bytes(), str(root / "corrupt.gxnr")
+
+
+def _write(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def _header(blob):
+    lead = len(MAGIC) + 1 + 4
+    (size,) = struct.unpack("<I", blob[lead - 4:lead])
+    return json.loads(blob[lead:lead + size])
+
+
+def _key_paths(header):
+    """Every key of the header, of each array descriptor and of the embedded config."""
+    paths = [(key,) for key in header]
+    paths += [("arrays", i, key) for i, desc in enumerate(header["arrays"]) for key in desc]
+    return paths + [("config", key) for key in header["config"]]
+
+
+def _rejected(path):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", path]) == 4
+
+
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncated_file_is_checkpoint_error(blobs_gxnr, data):
+    blob, path = blobs_gxnr
+    _write(path, blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    _rejected(path)
+
+
+# A retype puts a value of another JSON type in place of the stored one.  An
+# int where a float is stored is still a number, and the zero fractions may
+# be null or a list, so none of these counts.
+RETYPES = [None, True, 7, 0.5, "x", [], {}]
+
+
+def _same_kind(old, new, key):
+    return (type(new) is type(old) or (type(old) is float and type(new) is int)
+            or (key == "activation_zero_fractions" and new in (None, [])))
+
+
+@FUZZ
+@given(data=st.data())
+def test_dropped_or_retyped_header_key_is_checkpoint_error(blobs_gxnr, data):
+    blob, path = blobs_gxnr
+    *parents, key = data.draw(st.sampled_from(_key_paths(_header(blob))), label="key")
+    new = data.draw(st.sampled_from(["drop"] + RETYPES), label="value")
+
+    def corrupt(header):
+        owner = reduce(lambda obj, step: obj[step], parents, header)
+        if new == "drop":
+            del owner[key]
+        else:
+            assume(not _same_kind(owner[key], new, key))
+            owner[key] = new
+
+    _write(path, blob)
+    rewrite_header(path, corrupt)
+    _rejected(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_flipped_byte_is_checkpoint_error_or_a_valid_checkpoint(blobs_gxnr, data):
+    # Without a checksum in the format, a flip inside a payload number or a
+    # header value can leave a well-formed checkpoint.  Such a file must load
+    # as a valid network that `gxnor eval` runs (exit 3 if a flip renamed the
+    # dataset); every other flip is a CheckpointError.
+    blob, path = blobs_gxnr
+    corrupt = bytearray(blob)
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    corrupt[at] ^= data.draw(st.integers(1, 255), label="mask")
+    _write(path, bytes(corrupt))
+    try:
+        net, _, _ = load_checkpoint(path)
+    except CheckpointError:
+        assert main(["eval", "--checkpoint", path]) == 4
+        return
+    assert net.weights_on_grid()
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            assert np.isfinite(layer.gamma.value).all() and (layer.running_var >= 0).all()
+    assert main(["eval", "--checkpoint", path]) in (0, 3)

@@ -281,6 +281,14 @@ class TestExitCodes:
         assert architecture in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_architecture_misfit_leaves_no_out_dir(self, tmp_path, capsys):
+        # mlp-16-32-3 parses, but blobs has 4 classes: the network cannot be built.
+        cfg = tmp_path / "misfit.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture="mlp-16-32-3").to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        assert "mlp-16-32-3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_multilevel_span_is_config_error_naming_r(self, tmp_path, capsys):
         cfg = tmp_path / "span.cfg"
         cfg.write_text(dataclasses.replace(FAST_BLOBS, n2=2, r=0.9).to_text())

@@ -198,18 +198,38 @@ class TestConv2d:
         ints = batch_last(rng.integers(-2, 3, size=(5, 3, 9, 7)).astype(float))
         g = batch_last(rng.integers(-2, 3, size=(5, 4, 7, 5)).astype(float))
         whole = layer.forward(x, training=False)
-        # Two output rows per block: blocks of 2, 2, 2 and 1 rows.
-        monkeypatch.setattr(Conv2d, "BLOCK_BYTES", 8 * 4 * 5 * 5 * 2)
-        assert layer._blocks(7, 5, 5)[0] == [(0, 2), (2, 4), (4, 6), (6, 7)]
-        # Each output value is the same sum in the same order, so even
-        # real-valued outputs are equal bit for bit.
-        assert np.array_equal(layer.forward(x, training=False), whole)
+        whole_ints = layer.forward(ints.astype(np.float32), training=False)
+        # Two output rows of float64 columns per block (3*3*3 values per
+        # column, 5*5 columns per row): blocks of 2, 2, 2 and 1 rows.
+        monkeypatch.setattr(Conv2d, "BLOCK_BYTES", 8 * 3 * 3 * 3 * 5 * 5 * 2)
+        assert layer._blocks(7, 5, 5, 8)[0] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        # A block's GEMM may sum a real-valued output in another order than
+        # the whole layer's GEMM (BLAS handles a GEMM's last few columns apart),
+        # so real values agree to rounding; grid values are exact in any order.
+        assert np.allclose(layer.forward(x, training=False), whole, rtol=1e-14, atol=1e-14)
+        blocked_ints = layer.forward(ints.astype(np.float32), training=False)
+        assert np.array_equal(blocked_ints, whole_ints)
+        assert np.array_equal(batch_first(blocked_ints),
+                              einsum_conv_forward(batch_first(ints), layer.weight.value))
         layer.forward(ints, training=True)
         dx = batch_first(layer.backward(g))
         dkernel, dx_ref = einsum_conv_backward(batch_first(ints), layer.weight.value,
                                                batch_first(g))
         assert np.array_equal(layer.weight.grad, dkernel)
         assert np.array_equal(dx, dx_ref)
+
+    def test_float32_input_gives_the_float64_backward(self):
+        layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=6, layer_index=1)
+        rng = np.random.default_rng(18)
+        q = batch_last(rng.integers(-1, 2, size=(5, 3, 8, 7)).astype(float))
+        g = batch_last(rng.normal(size=(5, 4, 6, 5)))
+        runs = []
+        for x in (q, q.astype(np.float32)):
+            out = layer.forward(x, training=True)
+            runs.append((out, layer.backward(g), layer.weight.grad))
+        for a, b in zip(*runs):
+            assert b.dtype == np.float64
+            assert np.array_equal(a, b)
 
     def test_finite_differences_three_channels_non_square(self):
         layer = Conv2d(3, 2, kernel_size=3, space=TERNARY, seed=4, layer_index=0)
@@ -239,6 +259,45 @@ class TestConv2d:
     def test_rejects_wrong_channels(self):
         with pytest.raises(ValueError):
             self.make().forward(batch_last(np.zeros((1, 3, 4, 4))), training=False)
+
+
+def quant_conv(n1, n2, h, c, k, seed=0):
+    """A float32 QuantAct on grid n2 and the Conv2d (grid n1) that it feeds."""
+    qa = QuantAct(DiscreteSpace(n2, h), SurrogateSpec(a=h / 4, r=h / 4))
+    qa.dtype = np.float32
+    return qa, Conv2d(c, 2, kernel_size=k, space=DiscreteSpace(n1, h), seed=seed, layer_index=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(0, 3), n2=st.integers(0, 3), h=st.sampled_from([0.5, 1.0, 2.0]),
+       c=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_float32_grid_conv_equals_float64_reference(n1, n2, h, c, k, seed):
+    qa, conv = quant_conv(n1, n2, h, c, k, seed)
+    rng = np.random.default_rng(seed)
+    q = qa.forward(rng.normal(scale=1.5 * h, size=(c, k + 2, k + 1, 3)), training=False)
+    assert q.dtype == np.float32
+    out = conv.forward(q, training=False)
+    assert out.dtype == np.float64
+    ref = einsum_conv_forward(batch_first(q.astype(np.float64)), conv.weight.value)
+    assert np.array_equal(batch_first(out), ref)
+
+
+@pytest.mark.parametrize("n, c, k", [(3, 1 << 16, 4), (11, 1, 4)], ids=["n3-K2^20", "n11-K16"])
+def test_float32_grid_conv_is_exact_at_the_bound(n, c, k):
+    # K * M_w * M_a == 2**24 with M = 2**(n-1).  Operands drawn from the top
+    # states, so that the partial sums run up to the bound.
+    M = 2 ** (n - 1)
+    assert c * k * k * M * M == 1 << 24
+    qa, conv = quant_conv(n, n, 1.0, c, k)
+    rng = np.random.default_rng(19)
+    top = lambda size: (M - rng.integers(0, 2, size=size)) / M
+    conv.weight.value = top(conv.weight.value.shape)
+    x = top((c, k, k, 2))
+    q = qa.forward(x, training=False)
+    assert np.array_equal(q, x)  # grid states quantize to themselves
+    out = conv.forward(q, training=False)
+    ref = einsum_conv_forward(batch_first(q.astype(np.float64)), conv.weight.value)
+    assert np.array_equal(batch_first(out), ref)
 
 
 class TestMaxPool2d:
