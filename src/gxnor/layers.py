@@ -131,6 +131,31 @@ class Dense(Layer):
         return [self.weight]
 
 
+# OpenBLAS 0.3.31's dgemm computes a row-major product's columns in panels
+# of 8.  Once the inner dimension reaches 16 it sums the last n % 8 columns of
+# an n-column product (n % 8 in 1..4) in another order than the rest, so a
+# column's value would depend on how wide the product is.
+PANEL = 8
+
+
+def _panel_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a @ b``, with every column computed inside a whole panel.
+
+    The first ``n - n % PANEL`` columns go straight into ``out``; the last
+    ``n % PANEL`` go through a zero-padded ``PANEL``-column product.  Each
+    column's value is then the same for any ``n``, which holds on this BLAS
+    for inner dimensions up to about 300 (the MNIST net's first conv has 25).
+    """
+    n = b.shape[1]
+    whole = n - n % PANEL
+    if whole:
+        np.matmul(a, b[:, :whole], out=out[:, :whole])
+    if whole < n:
+        pad = np.zeros((b.shape[0], PANEL), b.dtype)
+        pad[:, :n - whole] = b[:, whole:]
+        out[:, whole:] = (a @ pad)[:, :n - whole]
+
+
 class Conv2d(Layer):
     """Valid, stride-1 cross-correlation with grid-valued kernels (out_c, in_c, k, k).
 
@@ -141,12 +166,14 @@ class Conv2d(Layer):
     slice copies into one buffer that every block reuses, and the block's
     output is one matmul of the ``(o, c*k*k)`` kernel with them, whose
     product is already in the output layout.  A block holds about
-    ``BLOCK_BYTES`` of columns, so they stay in cache.  Block size does not
-    change grid-valued outputs; real-valued ones may change in their last
-    bits, because BLAS may sum a GEMM's last few columns in another order.
-    Backward adds ``g @ cols.T`` to the kernel gradient and scatter-adds
-    ``W.T @ g`` over the same taps into the input gradient, and skips the
-    latter in a network's first weighted layer.
+    ``BLOCK_BYTES`` of columns, so they stay in cache.  Every output column
+    is computed inside a whole BLAS panel (see :func:`_panel_matmul`), so
+    neither the block size nor the batch size nor an image's place in the
+    batch changes an output value: on real-valued input for ``c*k*k`` up to
+    about 300 (conv1 of the MNIST net has 25), on exact float32 input for
+    any ``c*k*k``.  Backward adds ``g @ cols.T`` to the kernel gradient and
+    scatter-adds ``W.T @ g`` over the same taps into the input gradient, and
+    skips the latter in a network's first weighted layer.
 
     Forward computes in its input's dtype (only the kernel is cast) and
     returns float64.  A float32 input is exact when both operands are on
@@ -154,8 +181,9 @@ class Conv2d(Layer):
     ``M = 2**(n-1)`` (1 for a binary grid): every partial sum is then an
     integer multiple of the product of the two grid units, at most ``2**24``
     of them, so float32 holds it exactly in any summation order.
-    ``build_network`` feeds a conv float32 only then (see :class:`QuantAct`).
-    Backward runs in float64 whatever the input dtype.
+    ``build_network`` feeds a conv float32 only then (see :class:`QuantAct`);
+    a network's first conv, on real pixels, runs in float64.  Backward runs
+    in float64 whatever the input dtype.
     """
 
     # About a 2 MB L2 cache's worth of columns and their product.
@@ -209,19 +237,16 @@ class Conv2d(Layer):
         oh, ow = self._out_hw(h, w)
         o = self.out_channels
         kernel = self.weight.value.reshape(o, -1).astype(x.dtype, copy=False)
-        out = np.empty((o, oh, ow, b))
+        out = np.empty((o, oh, ow, b), x.dtype)
         blocks, cols_size = self._blocks(oh, ow, b, x.itemsize)
         cols_buf = np.empty(cols_size, x.dtype)
         for i0, i1 in blocks:
-            acc = out[:, i0:i1].reshape(o, -1)  # a view: rows i0..i1 of every channel
-            cols = self._columns(x, i0, i1, cols_buf)
-            if x.dtype == out.dtype:
-                np.matmul(kernel, cols, out=acc)
-            else:
-                acc[...] = kernel @ cols  # NumPy's matmul casts into acc without BLAS
+            # out[:, i0:i1] as a (o, rows*ow*b) view: rows i0..i1 of every channel.
+            _panel_matmul(kernel, self._columns(x, i0, i1, cols_buf),
+                          out[:, i0:i1].reshape(o, -1))
         if training:
             self._x = x
-        return out
+        return out.astype(np.float64, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
         x = self._x

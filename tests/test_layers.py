@@ -203,10 +203,9 @@ class TestConv2d:
         # column, 5*5 columns per row): blocks of 2, 2, 2 and 1 rows.
         monkeypatch.setattr(Conv2d, "BLOCK_BYTES", 8 * 3 * 3 * 3 * 5 * 5 * 2)
         assert layer._blocks(7, 5, 5, 8)[0] == [(0, 2), (2, 4), (4, 6), (6, 7)]
-        # A block's GEMM may sum a real-valued output in another order than
-        # the whole layer's GEMM (BLAS handles a GEMM's last few columns apart),
-        # so real values agree to rounding; grid values are exact in any order.
-        assert np.allclose(layer.forward(x, training=False), whole, rtol=1e-14, atol=1e-14)
+        # Every column is computed inside a whole BLAS panel, so even
+        # real-valued outputs are equal bit for bit.
+        assert np.array_equal(layer.forward(x, training=False), whole)
         blocked_ints = layer.forward(ints.astype(np.float32), training=False)
         assert np.array_equal(blocked_ints, whole_ints)
         assert np.array_equal(batch_first(blocked_ints),
@@ -217,6 +216,30 @@ class TestConv2d:
                                                batch_first(g))
         assert np.array_equal(layer.weight.grad, dkernel)
         assert np.array_equal(dx, dx_ref)
+
+    @pytest.mark.parametrize("c, k", [(1, 5), (3, 3), (8, 5)])
+    def test_batch_size_changes_no_real_value(self, c, k):
+        # Each image's output is the same in any batch and at any place in
+        # it: the products here are 35 to 455 columns wide.
+        layer = Conv2d(c, 4, kernel_size=k, space=TERNARY, seed=7, layer_index=0)
+        rng = np.random.default_rng(20)
+        x = batch_last(rng.normal(size=(13, c, k + 6, k + 4)))
+        alone = [layer.forward(x[..., i:i + 1], training=False) for i in range(13)]
+        for sl in (slice(0, 13), slice(2, 9), slice(5, 7), slice(12, 13)):
+            out = layer.forward(x[..., sl], training=False)
+            for i, img in enumerate(range(13)[sl]):
+                assert np.array_equal(out[..., i:i + 1], alone[img])
+
+    def test_panel_matmul_pads_the_last_columns(self):
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(size=(4, 25)), rng.normal(size=(25, 2 * gxnor.layers.PANEL + 3))
+        whole = np.empty((4, b.shape[1]))
+        gxnor.layers._panel_matmul(a, b, whole)
+        assert np.allclose(whole, a @ b, rtol=1e-13, atol=1e-13)
+        for start, stop in [(0, 1), (0, 3), (3, 11), (8, 19), (17, 19)]:
+            part = np.empty((4, stop - start))
+            gxnor.layers._panel_matmul(a, b[:, start:stop], part)
+            assert np.array_equal(part, whole[:, start:stop])
 
     def test_float32_input_gives_the_float64_backward(self):
         layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=6, layer_index=1)
