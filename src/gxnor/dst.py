@@ -137,13 +137,27 @@ def project_transition_array(
     they get here.
     """
     w, dw = np.asarray(w, dtype=float), np.asarray(dw, dtype=float)
-    u = rng.random(w.shape)
-    idx = _candidates(dw, u, hyper)
-    new, hop = _land(w.take(idx), dw, u, idx, hyper)
     new_w, moved = w.copy(), np.zeros(w.shape, dtype=bool)
-    new_w.put(idx, new)
-    moved.put(idx, hop)
+    tensor = GridParam(new_w, space=hyper.space, rng=rng)
+    moved.put(*_project([(tensor, 0, w.size)], dw.ravel(), hyper))
     return new_w, moved
+
+
+def _project(spans, dw: np.ndarray, hyper: DstHyper):
+    """Project flat increments in place: tensor ``p`` of span ``(p, lo, hi)``
+    takes ``dw[lo:hi]`` and draws that slice of ``u`` from its own stream.
+    Only candidates are read and written (full-size copies raise peak RSS).
+    Returns the candidates' flat indices into ``dw`` and whether each hopped."""
+    u = np.empty(dw.size)
+    for p, lo, hi in spans:
+        p.rng.random(out=u[lo:hi])
+    idx = _candidates(dw, u, hyper)
+    cuts = idx.searchsorted([lo for _, lo, _ in spans] + [dw.size])
+    parts = [(p, idx[c:d] - lo) for (p, lo, _), c, d in zip(spans, cuts, cuts[1:])]
+    new, hop = _land(np.concatenate([p.value.take(j) for p, j in parts]), dw, u, idx, hyper)
+    for (p, j), c, d in zip(parts, cuts, cuts[1:]):
+        p.value.put(j, new[c:d])
+    return idx, hop
 
 
 def lr_schedule(lr_start: float, lr_fin: float, epochs: int) -> float:
@@ -252,14 +266,4 @@ class DstOptimizer(AdamOptimizer):
             raise ValueError(
                 f"non-finite DST increment for grid tensor {i} of shape {p.value.shape}"
                 " (its gradient or Adam second moment is not finite)")
-        u = np.empty(dw.size)
-        for p, lo, hi in self._spans:
-            p.rng.random(out=u[lo:hi])
-        idx = _candidates(dw, u, self._hyper)
-        cuts = idx.searchsorted([lo for _, lo, _ in self._spans] + [dw.size])
-        parts = [(p, idx[c:d] - lo) for (p, lo, _), c, d in zip(self._spans, cuts, cuts[1:])]
-        new, _ = _land(np.concatenate([p.value.take(j) for p, j in parts]), dw, u, idx, self._hyper)
-        # Only the candidates are read and written, in whatever array p.value
-        # is now.  Full-size copies or new buffers each step raise peak RSS.
-        for (p, j), c, d in zip(parts, cuts, cuts[1:]):
-            p.value.put(j, new[c:d])
+        _project(self._spans, dw, self._hyper)

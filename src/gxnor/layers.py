@@ -332,13 +332,11 @@ class MaxPool2d(Layer):
 class Flatten(Layer):
     """Rows of features: (b, ...) -> (b, features).
 
-    With ``batch_last`` the input is (c, h, w, b), as inside a conv net, and
-    the output is (b, c*h*w) in (c, h, w) feature order.
+    With ``batch_last`` (a conv net's ``Network`` sets it) the input is (c, h,
+    w, b), and the output is (b, c*h*w) in (c, h, w) feature order.
     """
 
-    def __init__(self, batch_last: bool = False):
-        self.batch_last = batch_last
-        self._shape = None
+    batch_last = False
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._shape = x.shape
@@ -361,10 +359,10 @@ class BatchNorm(Layer):
     channel's values are computed as without blocks.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    EPS, MOMENTUM = 1e-5, 0.1
+
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = RealParam(value=np.ones(num_features))
         self.beta = RealParam(value=np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -386,7 +384,7 @@ class BatchNorm(Layer):
             # (x - mean) / sqrt(var + eps) * gamma + beta, in place on one new
             # array; x itself is never written.
             out = x - self.running_mean.reshape(shape)
-            out /= np.sqrt(self.running_var.reshape(shape) + self.eps)
+            out /= np.sqrt(self.running_var.reshape(shape) + self.EPS)
             out *= g
             out += b
             return out
@@ -403,12 +401,12 @@ class BatchNorm(Layer):
             mean[s] = np.add.reduce(x[s], axis=axes) / n
             d = np.subtract(x[s], mean[s].reshape(shape), out=xhat[s])
             var[s] = np.add.reduce(np.multiply(d, d, out=out[s]), axis=axes) / n
-            inv_std[s] = 1.0 / np.sqrt(var[s].reshape(shape) + self.eps)
+            inv_std[s] = 1.0 / np.sqrt(var[s].reshape(shape) + self.EPS)
             d *= inv_std[s]
             np.multiply(g[s], d, out=out[s])
             out[s] += b[s]
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+        self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
+        self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         self._cache = (xhat, inv_std, axes, shape, n)
         return out
 

@@ -65,17 +65,20 @@ SHUFFLE_DOMAIN = 1 << 20
 class Network:
     """A fixed sequence of layers ending in real-valued class scores.
 
-    Image batches arrive as (b, c, h, w).  With ``batch_last`` (a conv net)
-    they enter the layers as (c, h, w, b).  Backward stops at the first
-    weighted layer, which skips its input gradient.
+    Image batches arrive as (b, c, h, w).  A net whose first layer is 4-D (a
+    conv net) is ``batch_last``: its layers, ``Flatten`` included, take them
+    as (c, h, w, b).  Backward stops at the first weighted layer, which skips
+    its input gradient.
     """
 
-    def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...],
-                 batch_last: bool = False):
+    def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
         self.layers = layers
         self.classes = classes
         self.input_shape = tuple(input_shape)
-        self.batch_last = batch_last
+        self.batch_last = isinstance(layers[0], (Conv2d, MaxPool2d))
+        for layer in layers:
+            if isinstance(layer, Flatten):
+                layer.batch_last = self.batch_last
         self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
         layers[self._first_weighted].input_grad = False
 
@@ -186,7 +189,7 @@ def build_network(
             elif m := re.fullmatch(r"(\d+)fc", token):
                 out_f = int(m.group(1))
                 if flat is None:
-                    layers.append(Flatten(batch_last=True))
+                    layers.append(Flatten())
                     flat = chans * height * width
                 layers.append(Dense(flat, out_f, w_space, seed, widx))
                 widx += 1
@@ -197,7 +200,7 @@ def build_network(
         if flat is None:
             raise ValueError("conv architecture needs at least one fc stage")
         layers.append(Dense(flat, classes, w_space, seed, widx))
-        return Network(layers, classes=classes, input_shape=input_shape, batch_last=True)
+        return Network(layers, classes=classes, input_shape=input_shape)
 
     raise ValueError(f"unknown architecture id {architecture!r}")
 
@@ -230,29 +233,26 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
           tally: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """One batch's class scores and each quantized layer's zero fraction.
 
-    Every layer runs in inference mode.  Given ``packed_w`` (``id(layer)`` to
-    packed weights), each dense layer fed by a QuantAct runs on bit planes and
+    Every layer runs in inference mode.  Each dense layer with packed weights
+    in ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes and
     adds its open gates, bitcounts and lanes to ``tally``.
     """
     zeros = []
-    ternary_in = False
     x = net.enter(x)
     for layer in net.layers:
-        if ternary_in and packed_w is not None and isinstance(layer, Dense):
+        if packed_w and id(layer) in packed_w:
             scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
             tally += (rep.xnor_ops, rep.bitcount_ops, len(x) * layer.weight.value.size)
             x = scores.astype(float)
         else:
             x = layer.forward(x, training=False)
-        ternary_in = isinstance(layer, QuantAct)
-        if ternary_in:
+        if isinstance(layer, QuantAct):
             zeros.append((x.size - np.count_nonzero(x)) / x.size)
     return x, zeros
 
 
 def _inference_pass(
-    net: Network, dataset: Dataset, batch_size: int = EVAL_BATCH,
-    packed_w: dict | None = None, check: bool = False,
+    net: Network, dataset: Dataset, packed_w: dict | None = None, check: bool = False,
 ) -> tuple[float, float, tuple[float, ...], OpReport]:
     """Accuracy, mean and per-quantized-layer zero fractions, and OpReport.
 
@@ -264,8 +264,8 @@ def _inference_pass(
     tally = np.zeros(3, dtype=np.int64)
     correct = 0
     n = len(dataset)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, EVAL_BATCH):
+        hi = min(lo + EVAL_BATCH, n)
         images = dataset.images[lo:hi]
         scores, fractions = _walk(net, images, None if check else packed_w, tally)
         if check and not np.array_equal(_walk(net, images, packed_w, tally)[0], scores):
@@ -285,10 +285,9 @@ def _inference_pass(
     return correct / n, sparsity, tuple(float(z / n) for z in zero), report
 
 
-def evaluate(net: Network, dataset: Dataset,
-             batch_size: int = EVAL_BATCH) -> tuple[float, float]:
+def evaluate(net: Network, dataset: Dataset) -> tuple[float, float]:
     """Deterministic float-path accuracy and mean zero-activation fraction."""
-    return _inference_pass(net, dataset, batch_size)[:2]
+    return _inference_pass(net, dataset)[:2]
 
 
 def packed_eligible(net: Network) -> bool:
@@ -309,24 +308,21 @@ def _packed_weights(net: Network) -> dict:
             if isinstance(prev, QuantAct) and isinstance(layer, Dense)}
 
 
-def packed_evaluate(net: Network, dataset: Dataset,
-                    batch_size: int = EVAL_BATCH) -> tuple[float, OpReport]:
+def packed_evaluate(net: Network, dataset: Dataset) -> tuple[float, OpReport]:
     """Accuracy via gated-XNOR dot products wherever both operands are ternary.
 
     Dense layers fed by a quantized activation run on bit planes; the first
     layer sees continuous pixels and stays on the float path.  Scores equal
     the float path exactly (integer-valued sums are exact in both).
     """
-    accuracy, _, _, report = _inference_pass(net, dataset, batch_size, _packed_weights(net))
+    accuracy, _, _, report = _inference_pass(net, dataset, _packed_weights(net))
     return accuracy, report
 
 
-def check_packed_scores(net: Network, dataset: Dataset,
-                        batch_size: int = EVAL_BATCH) -> tuple[float, float, OpReport]:
+def check_packed_scores(net: Network, dataset: Dataset) -> tuple[float, float, OpReport]:
     """Float-path accuracy and sparsity, with the packed path's report; raises
     RuntimeError at the first batch whose packed and float scores differ."""
-    accuracy, sparsity, _, report = _inference_pass(
-        net, dataset, batch_size, _packed_weights(net), check=True)
+    accuracy, sparsity, _, report = _inference_pass(net, dataset, _packed_weights(net), check=True)
     return accuracy, sparsity, report
 
 

@@ -464,7 +464,7 @@ class TestBatchNorm:
         assert np.allclose(out.mean(axis=0), [-1.0, 4.0], atol=1e-12)
 
     def test_running_stats_feed_inference(self):
-        layer = BatchNorm(1, momentum=0.1)
+        layer = BatchNorm(1)  # MOMENTUM 0.1
         x = np.array([[2.0], [4.0]])  # mean 3, biased var 1
         layer.forward(x, training=True)
         assert np.allclose(layer.running_mean, [0.3])
@@ -492,7 +492,7 @@ class TestBatchNorm:
         mean, var = layer.running_mean.reshape(axis_shape), layer.running_var.reshape(axis_shape)
         g, b = layer.gamma.value.reshape(axis_shape), layer.beta.value.reshape(axis_shape)
         with np.errstate(invalid="ignore"):  # inf * 0 for the channel with g = 0
-            expect = g * ((x - mean) / np.sqrt(var + layer.eps)) + b
+            expect = g * ((x - mean) / np.sqrt(var + BatchNorm.EPS)) + b
             out = layer.forward(layer_in, training=False)
         if x.ndim == 4:
             out = batch_first(out)
@@ -505,9 +505,11 @@ class TestBatchNorm:
                         elements=st.floats(-1e3, 1e3)))
     def test_training_statistics_equal_numpy(self, x):
         axes = (0,) if x.ndim == 2 else (1, 2, 3)
-        # momentum 1 makes the running statistics this batch's own.
-        layer = BatchNorm(x.shape[1] if x.ndim == 2 else x.shape[0], momentum=1.0)
-        layer.forward(x, training=True)
+        layer = BatchNorm(x.shape[1] if x.ndim == 2 else x.shape[0])
+        # MOMENTUM 1 makes the running statistics this batch's own.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BatchNorm, "MOMENTUM", 1.0)
+            layer.forward(x, training=True)
         assert np.array_equal(layer.running_mean, x.mean(axis=axes))
         assert np.array_equal(layer.running_var, x.var(axis=axes))
 

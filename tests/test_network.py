@@ -248,7 +248,7 @@ def nchw_reference_scores(net, images):
             mean = layer.running_mean.reshape(shape)
             var = layer.running_var.reshape(shape)
             g, b = layer.gamma.value.reshape(shape), layer.beta.value.reshape(shape)
-            x = g * ((x - mean) / np.sqrt(var + layer.eps)) + b
+            x = g * ((x - mean) / np.sqrt(var + layer.EPS)) + b
         elif isinstance(layer, QuantAct):
             x = quantize_activation(x, layer.space, layer.spec.r)
         elif isinstance(layer, MaxPool2d):
@@ -262,7 +262,7 @@ def nchw_reference_scores(net, images):
     return x
 
 
-def test_conv_scores_equal_nchw_reference_walk():
+def test_conv_scores_equal_nchw_reference_walk(monkeypatch):
     # Integer-valued images and ternary weights and activations make every
     # conv and dense sum exact in any order, so the scores must be equal.
     rng = np.random.default_rng(93)
@@ -275,8 +275,25 @@ def test_conv_scores_equal_nchw_reference_walk():
     expect = nchw_reference_scores(net, images)
     assert np.array_equal(expect, np.rint(expect)) and expect.any()
     assert np.array_equal(net.forward(images), expect)
-    accuracy, _ = evaluate(net, Dataset(images=images, labels=labels, classes=3), batch_size=40)
+    monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 40)
+    accuracy, _ = evaluate(net, Dataset(images=images, labels=labels, classes=3))
     assert accuracy == np.mean(np.argmax(expect, axis=1) == labels)
+
+
+@pytest.mark.parametrize("architecture, batch_last", [
+    ("mlp-36-8-4", False),
+    ("conv-2c3-mp2-4fc", True),
+    ("conv-mp2-2c3-4fc", True),
+    ("conv-4fc", False),
+])
+def test_layout_follows_the_first_layer(architecture, batch_last):
+    # A net whose first layer is 4-D runs batch-last, Flatten included; the
+    # scores do not depend on the layout.
+    net = build_network(architecture, input_shape=(1, 6, 6), classes=4, seed=5)
+    assert net.batch_last == batch_last
+    assert [l.batch_last for l in net.layers if isinstance(l, Flatten)] == [batch_last]
+    images = np.random.default_rng(6).integers(-1, 2, size=(9, 1, 6, 6)).astype(float)
+    assert np.array_equal(net.forward(images), nchw_reference_scores(net, images))
 
 
 @pytest.mark.parametrize("architecture", ["mlp-36-8-4", "conv-2c3-mp2-4fc"])
@@ -318,9 +335,12 @@ class TestEvaluate:
         for p, b in zip(net.grid_params(), before):
             assert np.array_equal(p.value, b)
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         net, data, _ = self.trained_net()
-        assert evaluate(net, data, batch_size=7) == evaluate(net, data, batch_size=500)
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 7)
+        small = evaluate(net, data)
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 500)
+        assert small == evaluate(net, data)
 
     def test_zero_fractions_per_layer(self):
         # fit's last evaluation ran on the final weights, so its per-layer
@@ -356,7 +376,7 @@ def zero_fraction_oracle(net, data, batch_size):
     ("mlp-36-8-8-4", (1, 1, 36)),
     ("conv-2c3-mp2-4fc", (1, 6, 6)),
 ])
-def test_zero_fractions_equal_hand_walk(architecture, image_shape):
+def test_zero_fractions_equal_hand_walk(architecture, image_shape, monkeypatch):
     def shaped(n, seed):
         data = synthetic_blobs(n=n, classes=4, dim=36, seed=seed)
         return Dataset(images=data.images.reshape(n, *image_shape),
@@ -371,7 +391,8 @@ def test_zero_fractions_equal_hand_walk(architecture, image_shape):
     assert records[-1].zero_fractions == fractions
     assert records[-1].sparsity == sparsity
     assert evaluate(net, test)[1] == sparsity
-    assert evaluate(net, test, batch_size=7)[1] == zero_fraction_oracle(net, test, 7)[1]
+    monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 7)
+    assert evaluate(net, test)[1] == zero_fraction_oracle(net, test, 7)[1]
 
 
 class TestPackedInference:
@@ -391,11 +412,12 @@ class TestPackedInference:
         assert 0.0 <= report.resting_fraction <= 1.0
         assert report.xnor_ops > 0
 
-    def test_score_check_reports_float_accuracy_and_packed_ops(self):
+    def test_score_check_reports_float_accuracy_and_packed_ops(self, monkeypatch):
         net, data = self.trained_net()
-        accuracy, sparsity, report = check_packed_scores(net, data, batch_size=70)
-        assert (accuracy, sparsity) == evaluate(net, data, batch_size=70)
-        assert report == packed_evaluate(net, data, batch_size=70)[1]
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 70)
+        accuracy, sparsity, report = check_packed_scores(net, data)
+        assert (accuracy, sparsity) == evaluate(net, data)
+        assert report == packed_evaluate(net, data)[1]
 
     def test_hidden_preactivations_are_integers(self):
         net, data = self.trained_net()
@@ -427,7 +449,8 @@ class TestPackedInference:
             return pack_ternary_matrix(values)
         monkeypatch.setattr(gxnor.network, "pack_ternary_matrix", spy)
         packed_acc, _ = packed_evaluate(net, data)
-        accuracy, _, _ = check_packed_scores(net, data, batch_size=25)
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 25)
+        accuracy, _, _ = check_packed_scores(net, data)
         assert lanes and 784 not in lanes
         assert packed_acc == accuracy == evaluate(net, data)[0]
 
