@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, write_metrics, write_sweep_table
 from .data import DataError, fetch_mnist, resolve_dataset
 from .kernel import Architecture, count_ops
-from .layers import QuantAct
+from .layers import BatchNorm, QuantAct
 from .network import (
     check_packed_scores,
     evaluate,
@@ -93,9 +93,16 @@ def _load_config(args) -> RunConfig:
 
 def _network(config: RunConfig, train_ds):
     try:
-        return network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
+        net = network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
     except ValueError as exc:
         raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
+    # Training-mode batch norm needs two samples per feature in every batch.
+    n, size = len(train_ds), config.batch_size
+    if any(isinstance(l, BatchNorm) for l in net.layers) and (size == 1 or n % size == 1):
+        raise ConfigError(
+            f"batch_size={size} leaves a one-sample batch in the {n}-sample training set, "
+            "and batch norm needs at least 2 samples per batch")
+    return net
 
 
 def _train_once(config: RunConfig, net, train_ds, test_ds, quiet: bool = False,
@@ -147,6 +154,9 @@ def cmd_eval(args) -> int:
     net, config, header = load_checkpoint(args.checkpoint)
     dataset = args.dataset or config.dataset
     _, test_ds = resolve_dataset(dataset, args.data_dir)
+    if test_ds.images.shape[1:] != net.input_shape:
+        raise DataError(f"dataset {dataset!r} has images of shape {test_ds.images.shape[1:]}, "
+                        f"but the checkpoint's network takes {net.input_shape}")
     if packed_eligible(net):
         accuracy, sparsity, report = check_packed_scores(net, test_ds)
         print(f"inference=packed resting={report.resting_fraction!r}")

@@ -11,6 +11,7 @@ Writes go through a temp file and rename so readers never see partial files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -55,6 +56,9 @@ class RunConfig:
     seed: int = 1
 
     def validate(self) -> "RunConfig":
+        for key in ("h", "r", "a", "m", "lr_start", "lr_fin"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.n1 < 0 or self.n2 < 0:
             raise ConfigError("state parameters n1, n2 must be non-negative")
         if self.n1 > 15:

@@ -15,12 +15,9 @@ Inside a conv net every 4-D activation is channel-major and batch-last,
 that layout, and a batch-last ``Flatten`` turns it into ``(b, c*h*w)`` rows
 in ``(c, h, w)`` feature order, so dense layers see ``(b, features)``.
 
-Every layer computes in float64, with one exception.  A ``QuantAct`` gives
-float32 output when ``build_network`` finds that the next weighted layer is a
-``Conv2d`` whose forward is exact on it.  That needs a power-of-two ``h`` and
-``c*k*k * M_w * M_a <= 2**24``, where ``M = 2**(n-1)`` for a grid with
-``n >= 1`` and 1 for a binary grid.  That conv then runs a float32 GEMM,
-which gives the float64 GEMM's bits.  Every ``Conv2d`` and ``Dense`` returns
+Every layer computes in float64, with one exception: a ``QuantAct`` whose
+next weighted layer is a ``Conv2d`` exact on float32 input (the rule is in
+:class:`Conv2d`) gives float32 output.  Every ``Conv2d`` and ``Dense`` returns
 float64, and every backward pass is float64.
 """
 
@@ -177,13 +174,14 @@ class Conv2d(Layer):
 
     Forward computes in its input's dtype (only the kernel is cast) and
     returns float64.  A float32 input is exact when both operands are on
-    grids with a power-of-two ``h`` and ``c*k*k * M_w * M_a <= 2**24``, where
-    ``M = 2**(n-1)`` (1 for a binary grid): every partial sum is then an
-    integer multiple of the product of the two grid units, at most ``2**24``
-    of them, so float32 holds it exactly in any summation order.
-    ``build_network`` feeds a conv float32 only then (see :class:`QuantAct`);
-    a network's first conv, on real pixels, runs in float64.  Backward runs
-    in float64 whatever the input dtype.
+    grids with a power-of-two ``h`` within ``2**±40`` and ``c*k*k * M_w * M_a
+    <= 2**24``, where ``M = 2**(n-1)`` (1 for a binary grid): every partial
+    sum is then an integer multiple of the product of the two grid units, at
+    most ``2**24`` of them, inside float32's normal range, so float32 holds it
+    exactly in any summation order.  ``build_network`` feeds a conv float32
+    only then, from the ``QuantAct`` before it; a network's first conv, on
+    real pixels, runs in float64.  Backward runs in float64 whatever the
+    input dtype.
     """
 
     # About a 2 MB L2 cache's worth of columns and their product.
@@ -446,10 +444,9 @@ class QuantAct(Layer):
     surrogate.  Forward goes through :func:`_channel_blocks`.
 
     Forward's output has dtype ``dtype``: float64 unless ``build_network``
-    sets float32, which it does only for a ``QuantAct`` whose next weighted
-    layer is a ``Conv2d`` that computes exactly in float32 on it (power-of-two
-    ``h`` and ``c*k*k * M_w * M_a <= 2**24``; see :class:`Conv2d`).  Grid
-    values are exact in float32, and backward is float64 either way.
+    sets float32, for a ``QuantAct`` whose next weighted layer is a ``Conv2d``
+    exact on it by the rule in :class:`Conv2d`.  Backward is float64 either
+    way.
     """
 
     dtype = np.float64

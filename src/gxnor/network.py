@@ -115,14 +115,9 @@ def _quant_block(space: DiscreteSpace, spec: SurrogateSpec, features: int):
 
 
 def _exact_in_float32(w_space: DiscreteSpace, a_space: DiscreteSpace, fan_in: int) -> bool:
-    """Whether every dot product of ``fan_in`` grid weights and grid activations
-    is exact in float32: power-of-two ``h``, ``fan_in * M_w * M_a <= 2**24``.
-
-    Each value is an integer multiple of its grid unit ``h / M``, ``M =
-    2**(n-1)`` (1 for binary), so each partial sum is an integer multiple of
-    the units' product, at most ``fan_in * M_w * M_a`` of them.  ``h`` within
-    ``2**±40`` keeps units and sums in float32's normal range.
-    """
+    """Whether a ``Conv2d`` with ``fan_in = c*k*k`` on these weight and
+    activation grids is exact on float32 input, by the rule in
+    :class:`~gxnor.layers.Conv2d`."""
     units = fan_in
     for space in (w_space, a_space):
         mantissa, exponent = frexp(space.h)

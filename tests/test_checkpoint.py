@@ -231,6 +231,9 @@ MALFORMED = (
         pytest.param(_set("value_shape", ["a"], array=0), id="mistyped-value_shape-entry"),
         pytest.param(lambda h: h["arrays"].__setitem__(0, []), id="mistyped-descriptor"),
     ]
+    + [pytest.param(lambda h, k=k, v=v: h["config"].__setitem__(k, v), id=f"config-{k}={v}")
+       for k, v in [("h", float("inf")), ("r", float("nan")), ("a", float("inf")),
+                    ("m", float("inf")), ("lr_start", float("inf")), ("lr_fin", float("-inf"))]]
 )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestEval:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("test_accuracy="))
         assert float(line.split("=")[1]) == records[-1].test_accuracy
+
+    def test_dataset_of_another_shape_is_data_error(self, checkpoint, tmp_path, capsys):
+        # Three MNIST-shaped images in each split, against a blobs (1, 1, 16) net.
+        for prefix in ("train", "t10k"):
+            (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(
+                struct.pack(">IIII", 0x803, 3, 28, 28) + bytes(3 * 28 * 28))
+            (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">II", 0x801, 3) + bytes([0, 1, 2]))
+        assert run("eval", "--checkpoint", checkpoint, "--dataset", "mnist",
+                   "--data-dir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "(1, 28, 28)" in err and "(1, 1, 16)" in err
 
     def test_packed_eval_makes_one_float_pass(self, checkpoint, monkeypatch):
         # The score check's float walk also gives accuracy and sparsity.
@@ -297,6 +310,32 @@ class TestExitCodes:
         assert "r=0.9" in err and "a=0.5" in err and "h=1.0" in err
         assert FAST_BLOBS.architecture not in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_config_value_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(FAST_BLOBS.to_text().replace("r=0.5", "r=nan"))
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        assert "r must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # blobs has 1500 training samples.
+    @pytest.mark.parametrize("batch_size", [1, 1499])
+    def test_one_sample_batch_norm_batch_is_config_error(self, tmp_path, capsys, batch_size):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, batch_size=batch_size).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"batch_size={batch_size}" in err and "1500-sample" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("architecture, batch_size", [("mlp-16-32-4", 1498), ("mlp-16-4", 1499)])
+    def test_batches_of_two_or_no_batch_norm_still_train(self, tmp_path, capsys,
+                                                          architecture, batch_size):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(dataclasses.replace(
+            FAST_BLOBS, architecture=architecture, batch_size=batch_size, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+        capsys.readouterr()
 
     def test_weight_grid_beyond_checkpoint_indices_is_config_error(self, tmp_path):
         cfg = tmp_path / "wide.cfg"

@@ -81,6 +81,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(RunConfig(), **overrides).validate()
 
+    @pytest.mark.parametrize("key", ["h", "r", "a", "m", "lr_start", "lr_fin"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, key, value):
+        text = f"config_version={CONFIG_VERSION}\n{key}={value}\n"
+        with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
+            RunConfig.from_text(text)
+
     def test_multilevel_activation_span_checked(self):
         with pytest.raises(ConfigError, match=r"r \+ a <= h.*r=0\.9, a=0\.5, h=1\.0"):
             dataclasses.replace(RunConfig(), n2=2, r=0.9).validate()
