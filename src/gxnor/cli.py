@@ -96,7 +96,6 @@ def _network(config: RunConfig, train_ds):
         net = network_from_config(config, train_ds.images.shape[1:], train_ds.classes)
     except ValueError as exc:
         raise ConfigError(f"architecture {config.architecture!r}: {exc}") from exc
-    # Training-mode batch norm needs two samples per feature in every batch.
     n, size = len(train_ds), config.batch_size
     if any(isinstance(l, BatchNorm) for l in net.layers) and (size == 1 or n % size == 1):
         raise ConfigError(
