@@ -202,7 +202,7 @@ class Conv2d(Layer):
         )
         self._x = None
 
-    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k = self.kernel_size
         if h < k or w < k:
             raise ValueError(f"input {h}x{w} smaller than kernel {k}x{k}")
@@ -232,7 +232,7 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ValueError(f"expected ({self.in_channels}, h, w, batch) input, got {x.shape}")
         _, h, w, b = x.shape
-        oh, ow = self._out_hw(h, w)
+        oh, ow = self.out_hw(h, w)
         o = self.out_channels
         kernel = self.weight.value.reshape(o, -1).astype(x.dtype, copy=False)
         out = np.empty((o, oh, ow, b), x.dtype)
@@ -287,11 +287,15 @@ class MaxPool2d(Layer):
         self._argmax = None
         self._in_shape = None
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k = self.window
-        _, h, w, _ = x.shape
         if h % k or w % k:
             raise ValueError(f"input {h}x{w} not divisible by window {k}")
+        return h // k, w // k
+
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        k = self.window
+        self.out_hw(*x.shape[1:3])
         # One pass over the k^2 strided taps; tap t sits at offset divmod(t, k).
         out = x[:, ::k, ::k].copy()
         if training:

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 EVAL_BATCH = 1000
+WIDTH = r"[1-9][0-9]*"  # every width, kernel size and pool size in an id
 SHUFFLE_DOMAIN = 1 << 20
 
 
@@ -145,59 +146,53 @@ def build_network(
     a_space = make_space(n2, h)
     spec = SurrogateSpec(shape=PulseShape(surrogate), a=a, r=r)
 
-    if architecture.startswith("mlp-"):
-        dims = [int(tok) for tok in architecture[4:].split("-")]
-        if len(dims) < 2:
-            raise ValueError(f"mlp id needs at least in and out dims: {architecture!r}")
-        if dims[0] != prod(input_shape):
+    family, _, body = architecture.partition("-")
+    tokens = body.split("-")
+    layers: list[Layer] = []
+    flat = None  # the feature count once a Flatten is in place
+    if family == "mlp":
+        if len(tokens) < 2 or not all(re.fullmatch(WIDTH, tok) for tok in tokens):
+            raise ValueError(f"mlp id needs {WIDTH} widths, in and out at least: {architecture!r}")
+        if int(tokens[0]) != prod(input_shape):
             raise ValueError(
-                f"architecture expects {dims[0]} inputs, data provides {prod(input_shape)}")
-        layers: list[Layer] = [Flatten()]
-        widx = 0
-        for fan_in, fan_out in zip(dims[:-2], dims[1:-1]):
-            layers.append(Dense(fan_in, fan_out, w_space, seed, widx))
-            layers += _quant_block(a_space, spec, fan_out)
-            widx += 1
-        layers.append(Dense(dims[-2], dims[-1], w_space, seed, widx))
-        return Network(layers, classes=dims[-1], input_shape=input_shape)
-
-    if architecture.startswith("conv-"):
+                f"architecture expects {tokens[0]} inputs, data provides {prod(input_shape)}")
+        layers, flat, classes = [Flatten()], int(tokens[0]), int(tokens[-1])
+        tokens = [f"{tok}fc" for tok in tokens[1:-1]]
+    elif family == "conv":
         chans, height, width = input_shape
-        layers = []
-        widx = 0
-        flat = None
-        for token in architecture[5:].split("-"):
-            if m := re.fullmatch(r"(\d+)c(\d+)", token):
-                out_c, k = int(m.group(1)), int(m.group(2))
-                # The last QuantAct so far feeds this conv; every other stays float64.
-                feed = next((l for l in reversed(layers) if isinstance(l, QuantAct)), None)
-                if feed is not None and _exact_in_float32(w_space, a_space, chans * k * k):
-                    feed.dtype = np.float32
-                layers.append(Conv2d(chans, out_c, k, w_space, seed, widx))
-                widx += 1
-                chans, height, width = out_c, height - k + 1, width - k + 1
-                layers += _quant_block(a_space, spec, out_c)
-            elif m := re.fullmatch(r"mp(\d+)", token):
-                k = int(m.group(1))
-                layers.append(MaxPool2d(k))
-                height, width = height // k, width // k
-            elif m := re.fullmatch(r"(\d+)fc", token):
-                out_f = int(m.group(1))
-                if flat is None:
-                    layers.append(Flatten())
-                    flat = chans * height * width
-                layers.append(Dense(flat, out_f, w_space, seed, widx))
-                widx += 1
-                layers += _quant_block(a_space, spec, out_f)
-                flat = out_f
-            else:
-                raise ValueError(f"unknown architecture token {token!r}")
-        if flat is None:
-            raise ValueError("conv architecture needs at least one fc stage")
-        layers.append(Dense(flat, classes, w_space, seed, widx))
-        return Network(layers, classes=classes, input_shape=input_shape)
-
-    raise ValueError(f"unknown architecture id {architecture!r}")
+    else:
+        raise ValueError(f"unknown architecture id {architecture!r}")
+    widx = 0
+    for token in tokens:
+        if flat is None and (m := re.fullmatch(rf"({WIDTH})c({WIDTH})", token)):
+            out_c, k = int(m.group(1)), int(m.group(2))
+            # The last QuantAct so far feeds this conv; every other stays float64.
+            feed = next((l for l in reversed(layers) if isinstance(l, QuantAct)), None)
+            if feed is not None and _exact_in_float32(w_space, a_space, chans * k * k):
+                feed.dtype = np.float32
+            conv = Conv2d(chans, out_c, k, w_space, seed, widx)
+            widx += 1
+            chans, (height, width) = out_c, conv.out_hw(height, width)
+            layers += [conv, *_quant_block(a_space, spec, out_c)]
+        elif flat is None and (m := re.fullmatch(rf"mp({WIDTH})", token)):
+            layers.append(MaxPool2d(int(m.group(1))))
+            height, width = layers[-1].out_hw(height, width)
+        elif m := re.fullmatch(rf"({WIDTH})fc", token):
+            out_f = int(m.group(1))
+            if flat is None:
+                layers.append(Flatten())
+                flat = chans * height * width
+            layers.append(Dense(flat, out_f, w_space, seed, widx))
+            widx += 1
+            layers += _quant_block(a_space, spec, out_f)
+            flat = out_f
+        else:
+            after = "" if flat is None else " after an fc stage"
+            raise ValueError(f"bad architecture token {token!r}{after}")
+    if flat is None:
+        raise ValueError("conv architecture needs at least one fc stage")
+    layers.append(Dense(flat, classes, w_space, seed, widx))
+    return Network(layers, classes=classes, input_shape=input_shape)
 
 
 def network_from_config(config: RunConfig, input_shape, classes: int) -> Network:
