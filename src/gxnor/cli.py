@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
 def _load_config(args) -> RunConfig:
     config = RunConfig.load(args.config)
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = dataclasses.replace(config, seed=args.seed).validate()
     return config
 
 
@@ -104,26 +104,17 @@ def _network(config: RunConfig, train_ds):
     return net
 
 
-def _train_once(config: RunConfig, net, train_ds, test_ds, quiet: bool = False,
-                on_epoch=None):
+def _train_once(config: RunConfig, net, train_ds, test_ds, on_epoch=None):
     if config.lr_fin > config.lr_start:
         log.warning(
             "lr_fin (%g) exceeds lr_start (%g): learning rate will grow each epoch",
             config.lr_fin, config.lr_start)
-    def report(rec):
-        if not quiet:
-            print(f"epoch {rec.epoch:3d}  loss {rec.train_loss:.4f}  "
-                  f"test_acc {rec.test_accuracy:.4f}  sparsity {rec.sparsity:.3f}  "
-                  f"wall {rec.wall_time:.1f}s")
-        if on_epoch is not None:
-            on_epoch(rec)
-    records = fit(
+    return fit(
         net, train_ds, test_ds,
         epochs=config.epochs, batch_size=config.batch_size,
         lr_start=config.lr_start, lr_fin=config.lr_fin,
-        m=config.m, seed=config.seed, on_epoch=report,
+        m=config.m, seed=config.seed, on_epoch=on_epoch,
     )
-    return net, records
 
 
 def cmd_train(args) -> int:
@@ -136,10 +127,13 @@ def cmd_train(args) -> int:
     # Each epoch rewrites the metrics file atomically, so a long run's progress
     # is on disk after every epoch and readers never see a partial file.
     so_far: list = []
-    def persist(rec):
+    def report(rec):
+        print(f"epoch {rec.epoch:3d}  loss {rec.train_loss:.4f}  "
+              f"test_acc {rec.test_accuracy:.4f}  sparsity {rec.sparsity:.3f}  "
+              f"wall {rec.wall_time:.1f}s")
         so_far.append(rec)
         write_metrics(metrics_path, config, so_far)
-    net, records = _train_once(config, net, train_ds, test_ds, on_epoch=persist)
+    records = _train_once(config, net, train_ds, test_ds, on_epoch=report)
     # The last epoch's test-set pass ran on the final weights, so its
     # per-layer zero fractions are the trained model's.
     save_checkpoint(ckpt_path, net, config,
@@ -187,8 +181,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, point in zip(values, points):
         print(f"--- {args.param}={value}")
-        _, records = _train_once(point, _network(point, train_ds), train_ds, test_ds,
-                                 quiet=True)
+        records = _train_once(point, _network(point, train_ds), train_ds, test_ds)
         accuracy = records[-1].test_accuracy
         print(f"{args.param}={value} test_accuracy={accuracy!r}")
         rows.append((value, accuracy))

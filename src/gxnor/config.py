@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 __all__ = [
@@ -72,6 +73,9 @@ class RunConfig:
             raise ConfigError(f"surrogate must be 'rect' or 'tri', got {self.surrogate!r}")
         if not self.a > 0:
             raise ConfigError("pulse half-width a must be positive")
+        if self.surrogate == "tri" and self.a * self.a < sys.float_info.min:
+            raise ConfigError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
+                              "divides by a*a, which underflows to zero below that")
         if self.n2 >= 2 and not self.r + self.a <= self.h:
             raise ConfigError(
                 f"multi-level activations (n2={self.n2}) need r + a <= h for their "
@@ -82,6 +86,8 @@ class RunConfig:
             raise ConfigError("learning rates must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         return self
 
     def to_text(self) -> str:

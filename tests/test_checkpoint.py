@@ -79,6 +79,22 @@ class TestRoundTrip:
             assert np.array_equal(a.running_mean, b.running_mean)
             assert np.array_equal(a.running_var, b.running_var)
 
+    def test_conv_net(self, tmp_path):
+        # 1x1 kernels are the only unpooled convs that fit blobs' 1x16 images.
+        cfg = blobs_config(architecture="conv-8c1-16fc")
+        net, data = trained(cfg)
+        path = str(tmp_path / "model.gxnr")
+        save_checkpoint(path, net, cfg)
+        restored, cfg_back, _ = load_checkpoint(path)
+        assert cfg_back == cfg
+        self.assert_identical(net, restored, data)
+        orig = [l for l in net.layers if isinstance(l, BatchNorm)]
+        back = [l for l in restored.layers if isinstance(l, BatchNorm)]
+        assert len(back) == 2
+        for a, b in zip(orig, back):
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+
     def test_zero_fractions_stored_in_header(self, tmp_path):
         cfg = blobs_config()
         net, _ = trained(cfg)
@@ -233,7 +249,8 @@ MALFORMED = (
     ]
     + [pytest.param(lambda h, k=k, v=v: h["config"].__setitem__(k, v), id=f"config-{k}={v}")
        for k, v in [("h", float("inf")), ("r", float("nan")), ("a", float("inf")),
-                    ("m", float("inf")), ("lr_start", float("inf")), ("lr_fin", float("-inf"))]]
+                    ("m", float("inf")), ("lr_start", float("inf")), ("lr_fin", float("-inf")),
+                    ("seed", -1), ("architecture", "mlp-16-032-4")]]
 )
 
 

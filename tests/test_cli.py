@@ -186,11 +186,28 @@ class TestEval:
         assert "packed scores differ from float scores" in capsys.readouterr().err
 
 
+class TestConvNet:
+    def test_train_then_float_eval_of_a_conv_net(self, tmp_path, capsys):
+        # 1x1 kernels are the only unpooled convs that fit blobs' 1x16 images.
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture="conv-8c1-16fc").to_text())
+        out = tmp_path / "out"
+        assert run("train", "--config", str(cfg), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", str(out / "model.gxnr")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "inference=float" in lines
+        _, records = read_metrics(str(out / "metrics.csv"))
+        assert len(records) == 2
+        assert f"test_accuracy={records[-1].test_accuracy!r}" in lines
+
+
 class TestSweep:
     def test_sweep_writes_sorted_table(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("sweep", "--config", config_path, "--param", "m",
                    "--values", "3.0,0.5", "--out-dir", out) == 0
+        assert "epoch" not in capsys.readouterr().out  # a sweep prints no epoch lines
         table = os.path.join(out, "sweep_m.csv")
         lines = open(table).read().splitlines()
         assert lines[1] == "m,test_accuracy"
@@ -294,12 +311,26 @@ class TestExitCodes:
         assert architecture in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
-    def test_architecture_misfit_leaves_no_out_dir(self, tmp_path, capsys):
-        # mlp-16-32-3 parses, but blobs has 4 classes: the network cannot be built.
+    # Blobs images are 1x16 with 4 classes.  mlp-16-32-3 parses but has 3
+    # outputs; the others have a zero or non-canonical width, a kernel larger
+    # than its input, or a window that does not divide it.
+    @pytest.mark.parametrize("architecture", [
+        "mlp-16-32-3", "mlp-16-0-4", "conv-4c1-0fc", "conv-4c2-4fc", "conv-4c1-mp2-10fc",
+        "conv-0c1-4fc", "mlp-16-+32-4", "mlp-16-032-4", "mlp-16-3_2-4", "conv-04c1-4fc",
+    ])
+    def test_architecture_misfit_leaves_no_out_dir(self, tmp_path, capsys, architecture):
         cfg = tmp_path / "misfit.cfg"
-        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture="mlp-16-32-3").to_text())
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())
         assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
-        assert "mlp-16-32-3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert architecture in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_is_config_error_naming_seed(self, config_path, tmp_path, capsys):
+        assert run("train", "--config", config_path, "--seed", "-1",
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and FAST_BLOBS.architecture not in err
         assert not (tmp_path / "out").exists()
 
     def test_multilevel_span_is_config_error_naming_r(self, tmp_path, capsys):

@@ -88,6 +88,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
             RunConfig.from_text(text)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            dataclasses.replace(RunConfig(), seed=-1).validate()
+        dataclasses.replace(RunConfig(), seed=0).validate()
+
+    def test_tri_pulse_width_whose_square_underflows_rejected(self):
+        # a*a falls below the smallest normal float just under a = 2**-511.
+        tiny = math.nextafter(2.0 ** -511, 0.0)
+        for a in (tiny, 1e-300):
+            with pytest.raises(ConfigError, match=r"tri pulse needs a >= 2\*\*-511.*underflows"):
+                dataclasses.replace(RunConfig(), surrogate="tri", a=a).validate()
+        dataclasses.replace(RunConfig(), surrogate="tri", a=2.0 ** -511).validate()
+        dataclasses.replace(RunConfig(), surrogate="rect", a=1e-300).validate()
+
     def test_multilevel_activation_span_checked(self):
         with pytest.raises(ConfigError, match=r"r \+ a <= h.*r=0\.9, a=0\.5, h=1\.0"):
             dataclasses.replace(RunConfig(), n2=2, r=0.9).validate()
