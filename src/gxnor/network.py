@@ -1,12 +1,17 @@
 """Network assembly, training loop, and the dual inference paths.
 
-Architectures are named by compact ids:
+Architectures are named by compact ids in one grammar.  Every width, kernel
+size and pool size is ``[1-9][0-9]*``, and each stage's shape is checked
+against the layer that computes it when the network is built, before any
+training:
 
-* ``mlp-784-200-200-10``: dense stack; every hidden layer is followed by
-  batch norm and a quantized activation, the last layer emits real scores.
 * ``conv-16c5-mp2-32c5-mp2-128fc``: ``<n>c<k>`` convolution (valid, stride
-  1), ``mp<k>`` max pooling, ``<n>fc`` dense; each weighted stage gets batch
+  1; each kernel fits its input), ``mp<k>`` max pooling (each window divides
+  its input), then ``<n>fc`` dense stages; each weighted stage gets batch
   norm plus quantized activation, then a final dense classifier.
+* ``mlp-784-200-200-10``: ``<in>`` must be the input's feature count and
+  ``<out>`` is the class count; it reads as a flatten, the ``<h>fc`` stages,
+  and a final dense layer that emits real scores.
 
 Training follows forward -> squared hinge loss -> backward -> one stochastic
 grid transition per weight tensor and one Adam step for the batch-norm
