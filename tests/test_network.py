@@ -100,17 +100,6 @@ class TestBuildNetwork:
             with pytest.raises(ValueError):
                 build_network(architecture, input_shape=(1, 1, 16), classes=4)
 
-    @pytest.mark.parametrize("architecture, input_shape", [
-        ("mlp-45-3-4", (1, 5, 9)),
-        ("conv-2c2-mp2-3fc", (1, 5, 9)),
-        ("conv-mp3-2c1-4fc-5fc", (2, 6, 9)),
-        ("conv-8c1-16fc", (1, 1, 16)),
-    ])
-    def test_every_id_that_builds_runs(self, architecture, input_shape):
-        net = build_network(architecture, input_shape=input_shape, classes=4)
-        images = np.random.default_rng(2).uniform(-1, 1, size=(3, *input_shape))
-        assert net.forward(images, training=True).shape == (3, 4)
-
     def test_seed_controls_initial_weights(self):
         a = build_network("mlp-4-3-2", input_shape=(1, 1, 4), seed=1)
         b = build_network("mlp-4-3-2", input_shape=(1, 1, 4), seed=1)
