@@ -6,6 +6,12 @@ header carries the full run config (enough to rebuild the network), the
 input shape, measured activation zero fractions, and one descriptor per
 stored array (encoding, dtype, shape, offset, byte count).
 
+The array table is a function of the config: ``_layout`` lays it out for a
+network, ``save_checkpoint`` writes what it returns, and ``load_checkpoint``
+lays it out again for the network rebuilt from the embedded config.  A load
+requires the stored table to equal that one exactly, as JSON text, and the
+payload to be exactly as long as the table says.
+
 Ternary weight tensors are stored as mask/sign bit planes (64-bit
 little-endian words, lane i at bit i mod 64 of word i div 64); other grid
 tensors as uint16 grid indices, so a grid has at most 2**16 states; batch-norm
@@ -22,7 +28,7 @@ from math import prod
 import numpy as np
 
 from .config import ConfigError, RunConfig, _atomic_write
-from .kernel import WORD_BITS, PackedTernary, pack_ternary_matrix, unpack_ternary
+from .kernel import PackedTernary, pack_ternary_matrix, unpack_ternary
 from .layers import BatchNorm, Conv2d, Dense
 from .network import Network, network_from_config
 
@@ -36,7 +42,7 @@ class CheckpointError(Exception):
     """Unreadable, corrupt, or wrong-format checkpoint."""
 
 
-# Keys every header and every array descriptor carries, with their JSON types.
+# Keys every header carries, with their JSON types.
 HEADER_KEYS = {
     "format_version": int,
     "config": dict,
@@ -45,8 +51,6 @@ HEADER_KEYS = {
     "activation_zero_fractions": (list, type(None)),
     "arrays": list,
 }
-ARRAY_KEYS = {"name": str, "encoding": str, "dtype": str, "shape": list, "offset": int,
-              "nbytes": int}
 ENCODING_DTYPES = {"ternary-planes": "<u8", "grid-index": "<u2", "float": "<f8"}
 # The embedded config carries every RunConfig field; an int is a valid float.
 CONFIG_KEYS = {f.name: {"int": int, "float": (int, float), "str": str}[f.type]
@@ -65,39 +69,38 @@ def _check_keys(obj, keys: dict, path: str, what: str) -> None:
             raise CheckpointError(f"{path}: {what} has a mistyped {key!r}")
 
 
-class _PayloadWriter:
-    def __init__(self):
-        self.chunks: list[bytes] = []
-        self.arrays: list[dict] = []
-        self.offset = 0
+def _layout(net: Network) -> list[tuple[dict, bytes]]:
+    """Every stored array's descriptor and little-endian bytes, in file order."""
+    table: list[tuple[dict, bytes]] = []
+    offset = 0
 
-    def add(self, name: str, encoding: str, arr: np.ndarray, dtype: str) -> None:
+    def add(name: str, encoding: str, arr: np.ndarray, **extra) -> None:
+        nonlocal offset
+        dtype = ENCODING_DTYPES[encoding]
         blob = np.ascontiguousarray(arr).astype(dtype).tobytes()
-        self.arrays.append({
-            "name": name,
-            "encoding": encoding,
-            "dtype": dtype,
-            "shape": list(arr.shape),
-            "offset": self.offset,
-            "nbytes": len(blob),
-        })
-        self.chunks.append(blob)
-        self.offset += len(blob)
+        table.append(({"name": name, "encoding": encoding, "dtype": dtype,
+                       "shape": list(arr.shape), "offset": offset, "nbytes": len(blob),
+                       **extra}, blob))
+        offset += len(blob)
 
-
-def _add_grid_tensor(writer: _PayloadWriter, name: str, param) -> None:
-    value, space = param.value, param.space
-    if space.n == 1:
-        rows = value.reshape(value.shape[0], -1)
-        planes = pack_ternary_matrix(np.rint(rows / space.h).astype(np.int64))
-        writer.add(f"{name}.mask", "ternary-planes", planes.mask, "<u8")
-        writer.add(f"{name}.sign", "ternary-planes", planes.sign, "<u8")
-        writer.arrays[-2]["value_shape"] = list(value.shape)
-        writer.arrays[-1]["value_shape"] = list(value.shape)
-    elif space.num_states > 1 << 16:
-        raise CheckpointError(f"{name}: {space.num_states} grid states overflow uint16 indices")
-    else:
-        writer.add(name, "grid-index", space.index_of(value).astype(np.uint16), "<u2")
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, (Dense, Conv2d)):
+            name, value, space = f"layer{i}.weight", layer.weight.value, layer.weight.space
+            if space.n == 1:
+                rows = value.reshape(value.shape[0], -1)
+                planes = pack_ternary_matrix(np.rint(rows / space.h).astype(np.int64))
+                add(f"{name}.mask", "ternary-planes", planes.mask, value_shape=list(value.shape))
+                add(f"{name}.sign", "ternary-planes", planes.sign, value_shape=list(value.shape))
+            elif space.num_states > 1 << 16:
+                raise CheckpointError(
+                    f"{name}: {space.num_states} grid states overflow uint16 indices")
+            else:
+                add(name, "grid-index", space.index_of(value))
+        elif isinstance(layer, BatchNorm):
+            state = (layer.gamma.value, layer.beta.value, layer.running_mean, layer.running_var)
+            for name, arr in zip(BN_ARRAYS, state):
+                add(f"layer{i}.{name}", "float", arr)
+    return table
 
 
 def save_checkpoint(
@@ -106,25 +109,18 @@ def save_checkpoint(
     config: RunConfig,
     activation_zero_fractions: list[float] | None = None,
 ) -> None:
-    writer = _PayloadWriter()
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, (Dense, Conv2d)):
-            _add_grid_tensor(writer, f"layer{i}.weight", layer.weight)
-        elif isinstance(layer, BatchNorm):
-            state = (layer.gamma.value, layer.beta.value, layer.running_mean, layer.running_var)
-            for name, arr in zip(BN_ARRAYS, state):
-                writer.add(f"layer{i}.{name}", "float", arr, "<f8")
+    table = _layout(net)
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
         "input_shape": list(net.input_shape),
         "classes": net.classes,
         "activation_zero_fractions": activation_zero_fractions,
-        "arrays": writer.arrays,
+        "arrays": [desc for desc, _ in table],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join([MAGIC, bytes([FORMAT_VERSION]), struct.pack("<I", len(header_bytes)),
-                     header_bytes, *writer.chunks])
+                     header_bytes, *(data for _, data in table)])
     try:
         _atomic_write(path, blob)
     except OSError as exc:
@@ -152,25 +148,23 @@ def _read_header(blob: bytes, path: str) -> tuple[dict, bytes]:
     fractions = header["activation_zero_fractions"] or []
     if not all(type(z) in (int, float) and 0 <= z <= 1 for z in fractions):
         raise CheckpointError(f"{path}: activation zero fractions must be numbers in [0, 1]")
-    for desc in header["arrays"]:
-        _check_keys(desc, ARRAY_KEYS, path, "array descriptor")
-        if ENCODING_DTYPES.get(desc["encoding"]) != desc["dtype"]:
-            raise CheckpointError(
-                f"{path}: array {desc['name']!r} has dtype {desc['dtype']!r} "
-                f"for encoding {desc['encoding']!r}")
     return header, blob[lead + header_len:]
 
 
-def _take(payload: bytes, desc: dict, path: str) -> np.ndarray:
-    lo, hi = desc["offset"], desc["offset"] + desc["nbytes"]
-    if lo < 0 or hi < lo:
-        raise CheckpointError(f"{path}: negative extent for array {desc['name']!r}")
-    if hi > len(payload):
-        raise CheckpointError(f"{path}: truncated payload for {desc['name']}")
-    try:
-        return np.frombuffer(payload[lo:hi], dtype=desc["dtype"]).reshape(desc["shape"])
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad extent for array {desc['name']!r}: {exc}") from exc
+def _check_table(stored: list, table: list[dict], payload: bytes, path: str) -> None:
+    """Refuse a file whose array table is not, text for text, the config's."""
+    for got, want in zip(stored, table):
+        # As JSON text, so that true never passes for 1 nor 2.0 for 2.
+        if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise CheckpointError(
+                f"{path}: array {want['name']!r} is not as the embedded config lays it out")
+    if len(stored) != len(table):
+        raise CheckpointError(
+            f"{path}: {len(stored)} arrays stored, the embedded config lays out {len(table)}")
+    size = sum(desc["nbytes"] for desc in table)
+    if len(payload) != size:
+        problem = "truncated payload" if len(payload) < size else "trailing bytes after payload"
+        raise CheckpointError(f"{path}: {problem}: {len(payload)} bytes, expected {size}")
 
 
 def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
@@ -189,43 +183,25 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
         net = network_from_config(config, header["input_shape"], header["classes"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not fit its config: {exc}") from exc
-    by_name = {desc["name"]: desc for desc in header["arrays"]}
-
-    def grab(name: str, shape) -> np.ndarray:
-        if name not in by_name:
-            raise CheckpointError(f"{path}: missing array {name!r}")
-        arr = _take(payload, by_name[name], path)
-        if arr.shape != tuple(shape):
-            raise CheckpointError(
-                f"{path}: array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
-        return arr
-
+    table = [desc for desc, _ in _layout(net)]
+    _check_table(header["arrays"], table, payload, path)
+    arrays = {desc["name"]: np.frombuffer(payload, desc["dtype"], prod(desc["shape"]),
+                                          desc["offset"]).reshape(desc["shape"])
+              for desc in table}
     for i, layer in enumerate(net.layers):
         if isinstance(layer, (Dense, Conv2d)):
-            space, shape = layer.weight.space, layer.weight.value.shape
+            name, space, shape = f"layer{i}.weight", layer.weight.space, layer.weight.value.shape
             if space.n == 1:
-                length = prod(shape[1:])
-                planes_shape = (shape[0], (length + WORD_BITS - 1) // WORD_BITS)
-                planes = PackedTernary(
-                    length=length,
-                    mask=grab(f"layer{i}.weight.mask", planes_shape),
-                    sign=grab(f"layer{i}.weight.sign", planes_shape),
-                )
-                for plane in ("mask", "sign"):
-                    value_shape = by_name[f"layer{i}.weight.{plane}"].get("value_shape")
-                    if value_shape != list(shape):
-                        raise CheckpointError(f"{path}: layer {i} weight shape {value_shape} "
-                                              f"should be {list(shape)}")
+                planes = PackedTernary(prod(shape[1:]), arrays[f"{name}.mask"],
+                                       arrays[f"{name}.sign"])
                 layer.weight.value = (unpack_ternary(planes) * space.h).reshape(shape)
             else:
-                idx = grab(f"layer{i}.weight", shape).astype(np.int64)
-                if idx.size and idx.max() >= space.num_states:
+                idx = arrays[name].astype(np.int64)
+                if idx.max() >= space.num_states:
                     raise CheckpointError(f"{path}: grid index out of range in layer {i}")
                 layer.weight.value = space.states()[idx]
         elif isinstance(layer, BatchNorm):
-            shape = layer.gamma.value.shape
-            gamma, beta, mean, var = (grab(f"layer{i}.{name}", shape).copy()
-                                      for name in BN_ARRAYS)
+            gamma, beta, mean, var = (arrays[f"layer{i}.{name}"].copy() for name in BN_ARRAYS)
             if not (np.isfinite([gamma, beta, mean, var]).all() and (var >= 0).all()):
                 raise CheckpointError(
                     f"{path}: layer {i} batch-norm state is not finite or has a negative variance")

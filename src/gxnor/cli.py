@@ -250,7 +250,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left; the interpreter's exit flush must not
+        # raise again, and stderr is no place to report it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -158,13 +158,13 @@ def _md5(path: str) -> str:
     return digest.hexdigest()
 
 
-def fetch_mnist(data_dir: str, mirrors=MNIST_MIRRORS, log=print) -> None:
+def fetch_mnist(data_dir: str, mirrors=MNIST_MIRRORS) -> None:
     """Download and checksum the four MNIST IDX files; skips verified files."""
     os.makedirs(data_dir, exist_ok=True)
     for name, want in MNIST_FILES.items():
         dest = os.path.join(data_dir, name)
         if os.path.exists(dest) and _md5(dest) == want:
-            log(f"{name}: already present, checksum ok")
+            print(f"{name}: already present, checksum ok")
             continue
         last_error: Exception | None = None
         for base in mirrors:
@@ -178,7 +178,7 @@ def fetch_mnist(data_dir: str, mirrors=MNIST_MIRRORS, log=print) -> None:
                 if got != want:
                     raise DataError(f"{url}: checksum {got}, expected {want}")
                 os.replace(tmp, dest)
-                log(f"{name}: fetched from {base}")
+                print(f"{name}: fetched from {base}")
                 last_error = None
                 break
             except (urllib.error.URLError, OSError, DataError) as exc:

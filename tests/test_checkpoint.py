@@ -103,6 +103,19 @@ class TestRoundTrip:
         _, _, header = load_checkpoint(path)
         assert header["activation_zero_fractions"] == [0.25, 0.5]
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n1": 0}, {"n1": 2, "n2": 4, "r": 0.1, "a": 0.2},
+        {"architecture": "conv-8c1-16fc"},
+    ], ids=["ternary", "binary", "multilevel", "conv"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, overrides):
+        cfg = blobs_config(**overrides)
+        net, _ = trained(cfg)
+        first, second = str(tmp_path / "first.gxnr"), str(tmp_path / "second.gxnr")
+        save_checkpoint(first, net, cfg, activation_zero_fractions=[0.25, 0.5])
+        restored, cfg_back, header = load_checkpoint(first)
+        save_checkpoint(second, restored, cfg_back, header["activation_zero_fractions"])
+        assert open(second, "rb").read() == open(first, "rb").read()
+
     def test_untrained_network_round_trips(self, tmp_path):
         cfg = blobs_config()
         net = build_from(cfg)
@@ -246,6 +259,9 @@ MALFORMED = (
         pytest.param(_set("value_shape", [3, 3], array=0), id="value_shape-not-of-network"),
         pytest.param(_set("value_shape", ["a"], array=0), id="mistyped-value_shape-entry"),
         pytest.param(lambda h: h["arrays"].__setitem__(0, []), id="mistyped-descriptor"),
+        pytest.param(_set("extra", 1, array=0), id="array-with-extra-key"),
+        pytest.param(lambda h: h["arrays"].__setitem__(slice(0, 2), h["arrays"][1::-1]),
+                     id="arrays-0-and-1-swapped"),
     ]
     + [pytest.param(lambda h, k=k, v=v: h["config"].__setitem__(k, v), id=f"config-{k}={v}")
        for k, v in [("h", float("inf")), ("r", float("nan")), ("a", float("inf")),

@@ -4,6 +4,8 @@ import dataclasses
 import logging
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +290,21 @@ class TestCostModel:
 
 
 class TestExitCodes:
+    def test_closed_stdout_exits_4_quietly(self):
+        # 2000 fan-ins print some 340 kB, more than a pipe buffer holds, so
+        # the command is still writing when its reader leaves.
+        src = os.path.dirname(os.path.dirname(gxnor.layers.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        fan_ins = ",".join(str(n) for n in range(1, 2001))
+        proc = subprocess.Popen([sys.executable, "-m", "gxnor", "costmodel", "--fan-in", fan_ins],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"source,fan_in,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 4
+        assert err == b""
+
     def test_usage_error_unknown_flag(self, capsys):
         assert run("train", "--no-such-flag") == 1
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """IDX parsing, synthetic blobs, batching, and dataset resolution."""
 
 import gzip
+import hashlib
 import os
 import struct
 
@@ -9,9 +10,11 @@ import pytest
 
 from gxnor.data import (
     DATA_DIR_ENV,
+    MNIST_FILES,
     DataError,
     Dataset,
     batches,
+    fetch_mnist,
     load_idx,
     mnist_paths,
     resolve_dataset,
@@ -245,3 +248,44 @@ class TestResolveDataset:
         (tmp_path / "train-labels-idx1-ubyte").write_bytes(b"y")
         images, labels = mnist_paths(str(tmp_path), train=True)
         assert images.endswith(".gz") and not labels.endswith(".gz")
+
+
+class TestFetchMnist:
+    @pytest.fixture
+    def mirror(self, tmp_path):
+        """A file:// mirror of four small IDX .gz files; returns (base URL, md5s)."""
+        root = tmp_path / "mirror"
+        root.mkdir()
+        rng = np.random.default_rng(15)
+        md5s = {}
+        for name in MNIST_FILES:
+            n = 5 if name.startswith("train") else 3
+            if "images" in name:
+                pixels = rng.integers(0, 256, n * 4, dtype=np.uint8)
+                body = struct.pack(">IIII", 0x803, n, 2, 2) + pixels.tobytes()
+            else:
+                labels = rng.integers(0, 10, n, dtype=np.uint8)
+                body = struct.pack(">II", 0x801, n) + labels.tobytes()
+            (root / name).write_bytes(gzip.compress(body))
+            md5s[name] = hashlib.md5((root / name).read_bytes()).hexdigest()
+        return root.as_uri() + "/", md5s
+
+    def test_fetches_then_finds_files_present(self, tmp_path, monkeypatch, capsys, mirror):
+        base, md5s = mirror
+        monkeypatch.setattr("gxnor.data.MNIST_FILES", md5s)
+        dest = tmp_path / "mnist"
+        fetch_mnist(str(dest), mirrors=(base,))
+        assert sorted(p.name for p in dest.iterdir()) == sorted(md5s)
+        assert capsys.readouterr().out.count(f"fetched from {base}") == 4
+        train, test = resolve_dataset("mnist", data_dir=str(dest))
+        assert (len(train), len(test)) == (5, 3)
+        fetch_mnist(str(dest), mirrors=(base,))
+        assert capsys.readouterr().out.count("already present, checksum ok") == 4
+
+    def test_checksum_mismatch_is_data_error_and_leaves_nothing(self, tmp_path, mirror):
+        base, _ = mirror
+        dest = tmp_path / "mnist"
+        first = next(iter(MNIST_FILES))
+        with pytest.raises(DataError, match=f"could not fetch {first}.*checksum"):
+            fetch_mnist(str(dest), mirrors=(base,))
+        assert list(dest.iterdir()) == []
