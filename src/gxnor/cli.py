@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (CheckpointError, RuntimeError, ValueError, OSError) as exc:
+    except (CheckpointError, RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
 

@@ -28,6 +28,7 @@ __all__ = [
     "PackedTernary",
     "pack_ternary",
     "pack_ternary_matrix",
+    "pack_bit_planes",
     "unpack_ternary",
     "gated_xnor_dot",
     "packed_dense_forward",
@@ -36,7 +37,9 @@ __all__ = [
 ]
 
 WORD_BITS = 64
-DENSE_CHUNK = 128  # input rows per block in packed_dense_forward
+# packed_dense_forward takes input rows in blocks of about this many
+# (row, output) pairs: 128 rows of a 200-wide layer.
+DENSE_BLOCK = 128 * 200
 
 
 class Architecture(Enum):
@@ -84,11 +87,10 @@ class PackedTernary:
         return prod(self.mask.shape[:-1])
 
 
-def _pack(v: np.ndarray) -> PackedTernary:
-    """Pack the last axis of a ternary array; the planes keep the leading axes."""
-    if not np.all((v == -1) | (v == 0) | (v == 1)):
-        raise ValueError("values must be ternary (-1, 0, or +1)")
-    *lead, length = v.shape
+def pack_bit_planes(mask: np.ndarray, sign: np.ndarray) -> PackedTernary:
+    """Pack boolean lanes along the last axis: ``mask`` flags the non-zero
+    lanes and ``sign`` the +1 lanes (a subset of ``mask``, not checked)."""
+    *lead, length = mask.shape
     words = (length + WORD_BITS - 1) // WORD_BITS
     # Lanes padded with zeros up to a word multiple; packbits puts lane i in
     # bit i % 8 of byte i // 8, so eight bytes read little-endian make a word.
@@ -99,7 +101,14 @@ def _pack(v: np.ndarray) -> PackedTernary:
         packed = np.packbits(lanes, axis=-1, bitorder="little").view("<u8")
         return packed.astype(np.uint64)  # native byte order on any host
 
-    return PackedTernary(length=length, mask=plane(v != 0), sign=plane(v == 1))
+    return PackedTernary(length=length, mask=plane(mask), sign=plane(sign))
+
+
+def _pack(v: np.ndarray) -> PackedTernary:
+    """Pack the last axis of a ternary array; the planes keep the leading axes."""
+    if not np.all((v == -1) | (v == 0) | (v == 1)):
+        raise ValueError("values must be ternary (-1, 0, or +1)")
+    return pack_bit_planes(v != 0, v == 1)
 
 
 def pack_ternary_matrix(values) -> PackedTernary:
@@ -144,12 +153,8 @@ def gated_xnor_dot(a: PackedTernary, b: PackedTernary) -> tuple[int, OpReport]:
         gate = am & bm
         active += gate.bit_count()
         agree += (~(asg ^ bsg) & gate).bit_count()
-    report = OpReport(
-        architecture=Architecture.GXNOR,
-        xnor_ops=active,
-        bitcount_ops=len(a.mask),
-        resting_fraction=1.0 - active / a.length,
-    )
+    # Positional: keyword construction is most of a short call's overhead.
+    report = OpReport(Architecture.GXNOR, 0, 0, active, len(a.mask), 1.0 - active / a.length)
     return 2 * agree - active, report
 
 
@@ -158,9 +163,11 @@ def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray
 
     Returns the integer score matrix (batch, out) and one report aggregating
     lane activity over every dot product.  Input rows go through in blocks
-    of ``DENSE_CHUNK``; within a block the loop runs over words, counting
-    each word's open gates and masked sign disagreements into ``(rows, out)``
-    int32 totals, so a score is ``active - 2 * disagree``.
+    of about ``DENSE_BLOCK / out`` rows, so a narrow layer such as a 10-way
+    classifier takes a whole batch in one block; within a block the loop
+    runs over words, counting each word's open gates and masked sign
+    disagreements into ``(rows, out)`` int32 totals, so a score is ``active
+    - 2 * disagree``.
     """
     if x.length != w.length:
         raise ValueError(f"fan-in mismatch: {x.length} vs {w.length}")
@@ -171,8 +178,9 @@ def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray
     x_mask, x_sign = x.mask.reshape(batch, words), x.sign.reshape(batch, words)
     scores = np.empty((batch, out), dtype=np.int64)
     total_active = 0
-    for lo in range(0, batch, DENSE_CHUNK):
-        hi = min(lo + DENSE_CHUNK, batch)
+    rows = max(1, DENSE_BLOCK // max(1, out))
+    for lo in range(0, batch, rows):
+        hi = min(lo + rows, batch)
         xm, xs = x_mask[lo:hi].T.copy(), x_sign[lo:hi].T.copy()
         gate = np.empty((hi - lo, out), dtype=np.uint64)
         disagree = np.empty_like(gate)

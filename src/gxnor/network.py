@@ -19,6 +19,13 @@ parameters, with the learning rate decaying by a fixed factor per epoch.
 
 Inference has one layer walk and one loop over batches.  The walk runs every
 layer in inference mode and counts the zeros of each quantized activation.
+Each ``BatchNorm`` -> ``QuantAct`` pair runs as exact per-channel compares
+(:mod:`gxnor.fold`) once its parameters have been seen twice: a batch whose
+batch-norm state and quantizer differ from the last batch's runs the two
+layers, and the next batch that finds the same state compiles the
+thresholds, which serve that batch and every later one until the state
+changes.  Training changes the state every step, so ``fit``'s once-per-epoch
+test pass compiles nothing unless it has more than one batch.
 ``evaluate`` (and ``fit``'s per-epoch test pass) take the float walk.
 ``packed_evaluate`` takes the packed walk, where every dense layer whose
 operands are exactly ternary runs on bit-packed gated-XNOR dot products and
@@ -38,7 +45,9 @@ import numpy as np
 from .config import MetricsRecord, RunConfig
 from .data import Dataset, batches
 from .dst import AdamOptimizer, DstOptimizer, lr_schedule
-from .kernel import OpReport, Architecture, pack_ternary_matrix, packed_dense_forward
+from .fold import compile_pair, pair_state
+from .kernel import (
+    OpReport, Architecture, PackedTernary, pack_ternary_matrix, packed_dense_forward)
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -87,6 +96,11 @@ class Network:
                 layer.batch_last = self.batch_last
         self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
         layers[self._first_weighted].input_grad = False
+        # Index of each BatchNorm followed by a QuantAct, and the one fold
+        # slot: the pairs' state last seen and the folds compiled from it.
+        self._pairs = [i for i, (a, b) in enumerate(zip(layers, layers[1:]))
+                       if isinstance(a, BatchNorm) and isinstance(b, QuantAct)]
+        self._fold_slot: tuple = (None, None)
 
     def enter(self, images: np.ndarray) -> np.ndarray:
         """An image batch in the layout the first layer takes."""
@@ -114,6 +128,20 @@ class Network:
 
     def weights_on_grid(self) -> bool:
         return all(np.isin(p.value, p.space.states()).all() for p in self.grid_params())
+
+    def _folds(self) -> dict:
+        """Compiled folds by the index of their ``BatchNorm`` for the pairs'
+        current state, by the second-sight rule; empty on first sight.  A pair
+        whose state admits no fold maps to None."""
+        state = tuple(pair_state(self.layers[i], self.layers[i + 1]) for i in self._pairs)
+        seen, folds = self._fold_slot
+        if state != seen:
+            self._fold_slot = (state, None)
+            return {}
+        if folds is None:
+            folds = {i: compile_pair(self.layers[i], self.layers[i + 1]) for i in self._pairs}
+            self._fold_slot = (state, folds)
+        return folds
 
 
 def _quant_block(space: DiscreteSpace, spec: SurrogateSpec, features: int):
@@ -228,21 +256,36 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
           tally: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """One batch's class scores and each quantized layer's zero fraction.
 
-    Every layer runs in inference mode.  Each dense layer with packed weights
-    in ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes and
-    adds its open gates, bitcounts and lanes to ``tally``.
+    Every layer runs in inference mode, and each pair with a compiled fold
+    runs as its compares.  Each dense layer with packed weights in
+    ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes, taken
+    straight from a fold's compares where one feeds it, and adds its open
+    gates, bitcounts and lanes to ``tally``; its integer scores go on as
+    they are.
     """
     zeros = []
+    folds = net._folds()
     x = net.enter(x)
-    for layer in net.layers:
+    layers = net.layers
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        if folds.get(i) is not None:
+            size = x.size
+            feeds_packed = packed_w and i + 2 < len(layers) and id(layers[i + 2]) in packed_w
+            x, zero = (folds[i].planes if feeds_packed else folds[i].levels)(x)
+            zeros.append(zero / size)
+            i += 2
+            continue
         if packed_w and id(layer) in packed_w:
-            scores, rep = packed_dense_forward(pack_ternary_matrix(x), packed_w[id(layer)])
-            tally += (rep.xnor_ops, rep.bitcount_ops, len(x) * layer.weight.value.size)
-            x = scores.astype(float)
+            planes = x if isinstance(x, PackedTernary) else pack_ternary_matrix(x)
+            x, rep = packed_dense_forward(planes, packed_w[id(layer)])
+            tally += (rep.xnor_ops, rep.bitcount_ops, planes.n_rows * layer.weight.value.size)
         else:
             x = layer.forward(x, training=False)
         if isinstance(layer, QuantAct):
             zeros.append((x.size - np.count_nonzero(x)) / x.size)
+        i += 1
     return x, zeros
 
 

@@ -343,6 +343,17 @@ class TestExitCodes:
         assert architecture in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_architecture_too_wide_to_allocate_is_runtime_error(self, tmp_path, capsys):
+        # 10**14 hidden units ask for petabytes, which no machine has: the
+        # allocation fails at once and touches no memory.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(dataclasses.replace(
+            FAST_BLOBS, architecture="mlp-16-100000000000000-4").to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_is_config_error_naming_seed(self, config_path, tmp_path, capsys):
         assert run("train", "--config", config_path, "--seed", "-1",
                    "--out-dir", str(tmp_path / "out")) == 2

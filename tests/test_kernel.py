@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gxnor.kernel
 from gxnor.kernel import (
-    DENSE_CHUNK,
     WORD_BITS,
     Architecture,
     OpReport,
@@ -140,8 +140,7 @@ class TestPackedDenseForward:
 
     @settings(max_examples=40, deadline=None)
     @given(lanes=st.sampled_from([1, 63, 64, 65, 200, 800]),
-           rows=st.sampled_from([0, 1, DENSE_CHUNK - 1, DENSE_CHUNK, DENSE_CHUNK + 1,
-                                 2 * DENSE_CHUNK + 3]),
+           rows=st.sampled_from([0, 1, 127, 128, 129, 259]),
            out=st.integers(min_value=1, max_value=12),
            zero=st.sampled_from([0.0, 1 / 3, 0.9, 1.0]),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -154,6 +153,20 @@ class TestPackedDenseForward:
         assert scores.dtype == np.int64
         assert np.array_equal(scores, x @ w.T)
         assert report.xnor_ops == int(((x != 0).astype(int) @ (w != 0).astype(int).T).sum())
+
+    @pytest.mark.parametrize("out", [1, 10, 200])
+    def test_block_size_changes_neither_scores_nor_report(self, out, monkeypatch):
+        # The default takes 10-wide and 1-wide layers' rows in one block and a
+        # 200-wide layer's in blocks of 128; any block size gives the same result.
+        rng = np.random.default_rng(out)
+        x = pack_ternary_matrix(rng.integers(-1, 2, (300, 130)))
+        w = pack_ternary_matrix(rng.integers(-1, 2, (out, 130)))
+        scores, report = packed_dense_forward(x, w)
+        for rows in (1, 7, 128, 300):
+            monkeypatch.setattr(gxnor.kernel, "DENSE_BLOCK", rows * out)
+            other_scores, other_report = packed_dense_forward(x, w)
+            assert np.array_equal(other_scores, scores) and other_scores.dtype == scores.dtype
+            assert other_report == report
 
     def test_identity_weights(self):
         eye = np.eye(8, dtype=int)

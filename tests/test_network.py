@@ -483,3 +483,71 @@ class TestPackedInference:
         square = Dataset(images=images, labels=data.labels, classes=3)
         with pytest.raises(ValueError):
             packed_evaluate(net, square)
+
+
+class TestSecondSight:
+    """Each batch-norm -> quantized-activation pair runs as compiled compares
+    from the second batch that sees the same state on."""
+
+    def trained_net(self):
+        train = synthetic_blobs(n=300, classes=4, dim=16, seed=95)
+        net = build_network("mlp-16-32-16-4", input_shape=(1, 1, 16), classes=4, seed=5)
+        fit(net, train, train, epochs=1, batch_size=50, lr_start=0.01, lr_fin=0.001, seed=5)
+        return net, train
+
+    def test_unchanged_net_runs_no_pair_on_its_second_evaluate(self, monkeypatch):
+        net, data = self.trained_net()
+        # Three batches: the first runs the layers, the second compiles.
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 100)
+        first = evaluate(net, data)
+        calls = []
+        for cls in (BatchNorm, QuantAct):
+            def spy(layer, x, training, forward=cls.forward):
+                calls.append((type(layer).__name__, training))
+                return forward(layer, x, training)
+            monkeypatch.setattr(cls, "forward", spy)
+        assert evaluate(net, data) == first
+        assert calls == []
+        assert check_packed_scores(net, data)[:2] == first and calls == []
+
+    @pytest.mark.parametrize("change", ["running_mean", "train_step"])
+    def test_changed_state_recompiles_on_second_sight(self, change, monkeypatch):
+        net, data = self.trained_net()
+        images = data.images[:EVAL_BATCH]
+        evaluate(net, data)
+        evaluate(net, data)  # compiled: one batch each
+        before = gxnor.network._walk(net, images)[0]
+        compiled = []
+        monkeypatch.setattr(gxnor.network, "compile_pair",
+                            lambda bn, qa, real=gxnor.network.compile_pair:
+                            compiled.append(bn) or real(bn, qa))
+        if change == "running_mean":
+            next(l for l in net.layers if isinstance(l, BatchNorm)).running_mean[3] += 5.0
+        else:
+            train_step(net, data.images[:50], data.labels[:50],
+                       DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params()))
+        expected = net.forward(images)  # every layer, unfused
+        assert not np.array_equal(expected, before)
+        fractions, _ = zero_fraction_oracle(net, data, EVAL_BATCH)
+        for sight, compiles in ((1, 0), (2, 2), (3, 2)):
+            scores, zeros = gxnor.network._walk(net, images)
+            assert scores.tobytes() == expected.tobytes(), sight
+            assert tuple(zeros) == fractions, sight
+            assert len(compiled) == compiles, sight
+
+    def test_packed_walk_takes_planes_from_the_compares(self, monkeypatch):
+        net, data = self.trained_net()
+        monkeypatch.setattr(gxnor.network, "EVAL_BATCH", 7)
+        packed_rows = []
+
+        def spy(values):
+            packed_rows.append(len(values))
+            return pack_ternary_matrix(values)
+        monkeypatch.setattr(gxnor.network, "pack_ternary_matrix", spy)
+        accuracy, sparsity, report = check_packed_scores(net, data)
+        assert (accuracy, sparsity) == evaluate(net, data)
+        assert report == packed_evaluate(net, data)[1]
+        # Each batch's float walk runs before its packed walk, so the packed
+        # walk always finds the state seen: only weights (16 and 4 rows) are
+        # ever packed.
+        assert set(packed_rows) == {16, 4}
