@@ -150,6 +150,8 @@ def compile_pair(bn: BatchNorm, qa: QuantAct) -> Fold | None:
     binary = space.n == 0
     step = dtype.type(space.h if binary else space.dz)
     codes = np.array([-1, 1]) if binary else np.arange(len(grid)) - len(grid) // 2
+    # The output arithmetic must give the grid bit for bit, with a zero
+    # only at the dead zone's code, which the zero count relies on.
     values = codes.astype(dtype) * step
     if values.tobytes() != grid.tobytes() or np.count_nonzero(values) != len(codes) - (not binary):
         return None
