@@ -65,8 +65,11 @@ class RunConfig:
         if self.n1 > 15:
             raise ConfigError(f"n1={self.n1} exceeds 15: checkpoints store weight grid "
                               "indices as uint16, which hold 2**15 + 1 states at most")
-        if not self.h > 0:
-            raise ConfigError("half-range h must be positive")
+        # Weights and activations lie in [-h, h], so weight gradients grow like
+        # h**3, and Adam squares them: 2**192 at h = 2**32, which leaves float64
+        # over 2**800 of room for fan-in and batch.
+        if not 0 < self.h <= 2**32:
+            raise ConfigError(f"half-range h must lie in (0, 2**32], got h={self.h!r}")
         if self.r < 0:
             raise ConfigError("quantizer window r must be non-negative")
         if self.surrogate not in ("rect", "tri"):

@@ -88,8 +88,12 @@ def _open_maybe_gzip(path: str):
     return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
 
 
-def _read_exact(fh, nbytes: int, path: str, what: str) -> bytes:
-    data = fh.read(nbytes)
+def _read_exact(fh, nbytes: int, path: str, what: str) -> bytearray:
+    # In chunks: a header may claim more than the file holds, or than fits
+    # in one read call, and that claim must end as "truncated".
+    data = bytearray()
+    while len(data) < nbytes and (chunk := fh.read(min(nbytes - len(data), 1 << 24))):
+        data += chunk
     if len(data) != nbytes:
         raise DataError(f"{path}: truncated {what} ({len(data)} of {nbytes} bytes)")
     return data

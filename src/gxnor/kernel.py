@@ -54,7 +54,10 @@ class OpReport(NamedTuple):
     """Operation counts for one dot product, layer, or expected-cost query.
 
     Counts are exact non-negative integers on measured paths and expected
-    values (possibly fractional) from the cost model.  ``resting_fraction``
+    values (possibly fractional) from the cost model.  ``bitcount_ops``
+    differs between the two: ``count_ops`` counts one bitcount per dot
+    product, while ``packed_dense_forward`` and ``gated_xnor_dot`` count one
+    per 64-lane word that they popcount.  ``resting_fraction``
     is the share of lanes whose compute unit never wakes up.  A named tuple,
     because ``gated_xnor_dot`` builds one per call.
     """

@@ -39,6 +39,16 @@ def run(*argv):
     return main(list(argv))
 
 
+def overclaiming_mnist(root):
+    """An MNIST directory whose training images header claims 2**32 - 1
+    images of 65535 x 65535 pixels, followed by 100 bytes."""
+    root.mkdir()
+    (root / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 2**32 - 1, 0xFFFF, 0xFFFF) + bytes(100))
+    (root / "train-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+    return str(root)
+
+
 class TestTrain:
     def test_writes_metrics_and_checkpoint(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -144,6 +154,14 @@ class TestEval:
                    "--data-dir", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "(1, 28, 28)" in err and "(1, 1, 16)" in err
+
+    def test_header_claiming_more_than_the_file_holds_is_data_error(self, checkpoint, tmp_path,
+                                                                     capsys):
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", checkpoint, "--dataset", "mnist",
+                   "--data-dir", overclaiming_mnist(tmp_path / "mnist")) == 3
+        err = capsys.readouterr().err
+        assert "truncated pixel data" in err and "Traceback" not in err
 
     def test_packed_eval_makes_one_float_pass(self, checkpoint, monkeypatch):
         # The score check's float walk also gives accuracy and sparsity.
@@ -410,6 +428,30 @@ class TestExitCodes:
         cfg = tmp_path / "mnist.cfg"
         cfg.write_text(RunConfig(dataset="mnist", epochs=1).to_text())
         assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 3
+
+    def test_header_claiming_more_than_the_file_holds_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(RunConfig(dataset="mnist", epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                   "--data-dir", overclaiming_mnist(tmp_path / "mnist")) == 3
+        err = capsys.readouterr().err
+        assert "truncated pixel data" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("h", [1e300, 1e150])
+    def test_h_beyond_two_to_the_32_is_config_error(self, tmp_path, capsys, h):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, h=h, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        assert "h must lie in (0, 2**32]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_h_of_two_to_the_32_trains(self, tmp_path, capsys):
+        # RuntimeWarnings are errors here, as pyproject.toml sets for the tests.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, h=2.0**32, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+        capsys.readouterr()
 
     def test_runtime_error_bad_checkpoint(self, tmp_path):
         junk = tmp_path / "junk.gxnr"

@@ -97,6 +97,15 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="truncated"):
             load_idx(str(img), str(lab))
 
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_header_claiming_more_than_a_read_can_hold_is_truncated(self, tmp_path, gz):
+        # 2**32 - 1 images of 65535 x 65535 pixels, followed by 100 bytes.
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0], gz=gz)
+        with (gzip.open if gz else open)(img, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x803, 2**32 - 1, 0xFFFF, 0xFFFF) + bytes(100))
+        with pytest.raises(DataError, match=r"truncated pixel data \(100 of \d+ bytes\)"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         pixels = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [0, 1, 2], label_count=3)

@@ -510,7 +510,7 @@ class TestSecondSight:
         assert calls == []
         assert check_packed_scores(net, data)[:2] == first and calls == []
 
-    @pytest.mark.parametrize("change", ["running_mean", "train_step"])
+    @pytest.mark.parametrize("change", ["running_mean", "train_step", "zero_gamma"])
     def test_changed_state_recompiles_on_second_sight(self, change, monkeypatch):
         net, data = self.trained_net()
         images = data.images[:EVAL_BATCH]
@@ -521,19 +521,32 @@ class TestSecondSight:
         monkeypatch.setattr(gxnor.network, "compile_pair",
                             lambda bn, qa, real=gxnor.network.compile_pair:
                             compiled.append(bn) or real(bn, qa))
+        norms = [l for l in net.layers if isinstance(l, BatchNorm)]
         if change == "running_mean":
-            next(l for l in net.layers if isinstance(l, BatchNorm)).running_mean[3] += 5.0
+            norms[0].running_mean[3] += 5.0
+        elif change == "zero_gamma":  # a pair that is not monotone runs unfused
+            norms[0].gamma.value[3] = 0.0
         else:
             train_step(net, data.images[:50], data.labels[:50],
                        DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params()))
         expected = net.forward(images)  # every layer, unfused
         assert not np.array_equal(expected, before)
         fractions, _ = zero_fraction_oracle(net, data, EVAL_BATCH)
-        for sight, compiles in ((1, 0), (2, 2), (3, 2)):
+        ran = []
+
+        def spy(layer, x, training, forward=BatchNorm.forward):
+            if len(x) == len(images):  # not a compile's threshold candidates
+                ran.append(layer)
+            return forward(layer, x, training)
+        monkeypatch.setattr(BatchNorm, "forward", spy)
+        unfused = norms[:1] if change == "zero_gamma" else []
+        for sight, compiles, runs in ((1, 0, norms), (2, 2, unfused), (3, 2, unfused)):
+            ran.clear()
             scores, zeros = gxnor.network._walk(net, images)
             assert scores.tobytes() == expected.tobytes(), sight
             assert tuple(zeros) == fractions, sight
             assert len(compiled) == compiles, sight
+            assert ran == runs, sight
 
     def test_packed_walk_takes_planes_from_the_compares(self, monkeypatch):
         net, data = self.trained_net()
