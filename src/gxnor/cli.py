@@ -195,20 +195,15 @@ def cmd_sweep(args) -> int:
 COST_COLUMNS = "source,fan_in,architecture,multiplications,accumulations,xnor_ops,bitcount_ops,resting"
 
 
-def _cost_rows(source: str, fan_in: int, w_dist=None, a_dist=None) -> list[str]:
+def _cost_rows(source: str, fan_in: int, *zeros: float) -> list[str]:
     rows = []
     for arch in Architecture:
-        rep = count_ops(arch, fan_in, w_dist=w_dist, a_dist=a_dist)
+        rep = count_ops(arch, fan_in, *zeros)
         rows.append(
             f"{source},{fan_in},{arch.value},{rep.multiplications:g},"
             f"{rep.accumulations:g},{rep.xnor_ops:g},{rep.bitcount_ops:g},"
             f"{rep.resting_percent()}")
     return rows
-
-
-def _empirical_dist(values: np.ndarray) -> dict[float, float]:
-    states, counts = np.unique(values, return_counts=True)
-    return {float(s): float(c) / values.size for s, c in zip(states, counts)}
 
 
 def cmd_costmodel(args) -> int:
@@ -223,15 +218,15 @@ def cmd_costmodel(args) -> int:
     net, _, header = load_checkpoint(args.checkpoint)
     fractions = header.get("activation_zero_fractions") or []
     quant_seen = 0
-    a_dist = {1.0: 1.0}  # first weighted layer sees continuous, never-zero input
+    a_zero = 0.0  # first weighted layer sees continuous, never-zero input
     for i, layer in enumerate(net.layers):
         for p in layer.grid_params():
             fan_in = prod(p.value.shape[1:])
-            for row in _cost_rows(f"layer{i}", fan_in, _empirical_dist(p.value), a_dist):
+            w_zero = np.count_nonzero(p.value == 0) / p.value.size
+            for row in _cost_rows(f"layer{i}", fan_in, w_zero, a_zero):
                 print(row)
         if isinstance(layer, QuantAct) and quant_seen < len(fractions):
-            zero = fractions[quant_seen]
-            a_dist = {0.0: zero, 1.0: (1 - zero) / 2, -1.0: (1 - zero) / 2}
+            a_zero = fractions[quant_seen]
             quant_seen += 1
     return 0
 

@@ -9,7 +9,8 @@ the point: zero weights and zero activations cost nothing.
 
 The module also carries the expected-operation-count model used to compare
 this scheme against full-precision, binary-weight, ternary-weight, and
-fully binary architectures at a given fan-in.
+fully binary architectures at a given fan-in.  The model reads two numbers:
+the share of zero weights and the share of zero activations.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "gated_xnor_dot",
     "packed_dense_forward",
     "count_ops",
-    "uniform_ternary",
 ]
 
 WORD_BITS = 64
@@ -62,7 +62,6 @@ class OpReport(NamedTuple):
     because ``gated_xnor_dot`` builds one per call.
     """
 
-    architecture: Architecture
     multiplications: float = 0
     accumulations: float = 0
     xnor_ops: float = 0
@@ -157,7 +156,7 @@ def gated_xnor_dot(a: PackedTernary, b: PackedTernary) -> tuple[int, OpReport]:
         active += gate.bit_count()
         agree += (~(asg ^ bsg) & gate).bit_count()
     # Positional: keyword construction is most of a short call's overhead.
-    report = OpReport(Architecture.GXNOR, 0, 0, active, len(a.mask), 1.0 - active / a.length)
+    report = OpReport(0, 0, active, len(a.mask), 1.0 - active / a.length)
     return 2 * agree - active, report
 
 
@@ -200,7 +199,6 @@ def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray
         total_active += int(active.sum(dtype=np.int64))
     lanes = batch * out * x.length
     report = OpReport(
-        architecture=Architecture.GXNOR,
         xnor_ops=total_active,
         bitcount_ops=batch * out * words,
         resting_fraction=1.0 - total_active / lanes if lanes else 0.0,
@@ -208,47 +206,36 @@ def packed_dense_forward(x: PackedTernary, w: PackedTernary) -> tuple[np.ndarray
     return scores, report
 
 
-def uniform_ternary() -> dict[float, float]:
-    """Uniform distribution over {-1, 0, +1}."""
-    return {-1.0: 1.0 / 3.0, 0.0: 1.0 / 3.0, 1.0: 1.0 / 3.0}
-
-
-def _zero_mass(dist: dict, who: str) -> float:
-    probs = np.asarray(list(dist.values()), dtype=float)
-    if probs.size == 0 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{who} state probabilities must be non-negative and sum to 1")
-    return float(sum(p for v, p in dist.items() if v == 0))
-
-
 def count_ops(
     architecture: Architecture,
     fan_in: int,
-    w_dist: dict | None = None,
-    a_dist: dict | None = None,
+    w_zero: float = 1 / 3,
+    a_zero: float = 1 / 3,
 ) -> OpReport:
     """Expected per-neuron operation counts for one dot product of ``fan_in`` lanes.
 
-    Lanes are assumed independent with the given weight/activation state
-    distributions (uniform ternary by default).  Architectures without a zero
-    state never rest; event-driven ones skip exactly the gated-off lanes.
+    Lanes are assumed independent, with ``w_zero`` and ``a_zero`` the shares
+    of zero weights and zero activations (uniform ternary by default).
+    Architectures without a zero state never rest; event-driven ones skip
+    exactly the gated-off lanes.
     """
     if fan_in < 1:
         raise ValueError(f"fan-in must be at least 1, got {fan_in}")
-    p0w = _zero_mass(w_dist if w_dist is not None else uniform_ternary(), "weight")
-    p0a = _zero_mass(a_dist if a_dist is not None else uniform_ternary(), "activation")
+    for who, zero in (("weight", w_zero), ("activation", a_zero)):
+        if not 0 <= zero <= 1:
+            raise ValueError(f"{who} zero fraction must lie in [0, 1], got {zero!r}")
     arch = Architecture(architecture)
 
     if arch is Architecture.FULL_PRECISION:
-        return OpReport(arch, multiplications=fan_in, accumulations=fan_in)
+        return OpReport(multiplications=fan_in, accumulations=fan_in)
     if arch is Architecture.BWN:
-        return OpReport(arch, accumulations=fan_in)
+        return OpReport(accumulations=fan_in)
     if arch is Architecture.TWN:
-        return OpReport(arch, accumulations=(1.0 - p0w) * fan_in, resting_fraction=p0w)
+        return OpReport(accumulations=(1.0 - w_zero) * fan_in, resting_fraction=w_zero)
     if arch is Architecture.BNN:
-        return OpReport(arch, xnor_ops=fan_in, bitcount_ops=1)
-    active = (1.0 - p0w) * (1.0 - p0a)
+        return OpReport(xnor_ops=fan_in, bitcount_ops=1)
+    active = (1.0 - w_zero) * (1.0 - a_zero)
     return OpReport(
-        arch,
         xnor_ops=active * fan_in,
         bitcount_ops=1 if active > 0 else 0,
         resting_fraction=1.0 - active,

@@ -46,8 +46,7 @@ from .config import MetricsRecord, RunConfig
 from .data import Dataset, batches
 from .dst import AdamOptimizer, DstOptimizer, lr_schedule
 from .fold import compile_pair, pair_state
-from .kernel import (
-    OpReport, Architecture, PackedTernary, pack_ternary_matrix, packed_dense_forward)
+from .kernel import OpReport, PackedTernary, pack_ternary_matrix, packed_dense_forward
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -313,7 +312,6 @@ def _inference_pass(
         zero += np.multiply(fractions, hi - lo)
     xnor, bitcount, lanes = map(int, tally)
     report = OpReport(
-        architecture=Architecture.GXNOR,
         xnor_ops=xnor,
         bitcount_ops=bitcount,
         resting_fraction=1.0 - xnor / lanes if lanes else 0.0,

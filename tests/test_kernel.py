@@ -14,7 +14,6 @@ from gxnor.kernel import (
     pack_ternary,
     pack_ternary_matrix,
     packed_dense_forward,
-    uniform_ternary,
     unpack_ternary,
 )
 
@@ -218,21 +217,22 @@ class TestCostModel:
         assert rep.resting_percent() == "55.6%"
 
     def test_degenerate_all_zero_weights(self):
-        rep = count_ops(Architecture.GXNOR, self.M, w_dist={0.0: 1.0})
+        rep = count_ops(Architecture.GXNOR, self.M, w_zero=1.0)
         assert rep.xnor_ops == 0 and rep.bitcount_ops == 0
         assert rep.resting_fraction == 1.0
 
     def test_no_zero_states_never_rest(self):
-        dense = {-1.0: 0.5, 1.0: 0.5}
-        rep = count_ops(Architecture.GXNOR, self.M, w_dist=dense, a_dist=dense)
+        rep = count_ops(Architecture.GXNOR, self.M, w_zero=0.0, a_zero=0.0)
         assert rep.resting_fraction == 0.0
         assert rep.xnor_ops == self.M
 
-    def test_rejects_bad_distribution(self):
-        with pytest.raises(ValueError):
-            count_ops(Architecture.TWN, self.M, w_dist={0.0: 0.7, 1.0: 0.7})
-        with pytest.raises(ValueError):
-            count_ops(Architecture.TWN, self.M, w_dist={0.0: -0.5, 1.0: 1.5})
+    def test_rejects_zero_fraction_outside_unit_interval(self):
+        for zero in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="weight zero fraction"):
+                count_ops(Architecture.TWN, self.M, w_zero=zero)
+            with pytest.raises(ValueError, match="activation zero fraction"):
+                count_ops(Architecture.TWN, self.M, a_zero=zero)
+        count_ops(Architecture.TWN, self.M, w_zero=0.0, a_zero=1.0)
 
     def test_rejects_bad_fan_in(self):
         with pytest.raises(ValueError):
