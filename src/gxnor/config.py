@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
+from .spaces import DiscreteSpace
+
 __all__ = [
     "CONFIG_VERSION",
     "METRICS_VERSION",
@@ -65,6 +67,9 @@ class RunConfig:
         if self.n1 > 15:
             raise ConfigError(f"n1={self.n1} exceeds 15: checkpoints store weight grid "
                               "indices as uint16, which hold 2**15 + 1 states at most")
+        if self.n2 > 15:
+            raise ConfigError(f"n2={self.n2} exceeds 15: the activation surrogate makes one "
+                              "pass over its input per pulse, and there are 2**(n2-1) pulses")
         # Weights and activations lie in [-h, h], so weight gradients grow like
         # h**3, and Adam squares them: 2**192 at h = 2**32, which leaves float64
         # over 2**800 of room for fan-in and batch.
@@ -79,6 +84,11 @@ class RunConfig:
         if self.surrogate == "tri" and self.a * self.a < sys.float_info.min:
             raise ConfigError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
                               "divides by a*a, which underflows to zero below that")
+        if self.surrogate == "rect":
+            height = DiscreteSpace(self.n2, self.h).dz / (2.0 * self.a)
+            if not math.isfinite(height):
+                raise ConfigError(f"a rect pulse's height dz / (2a) overflows at a={self.a!r}, "
+                                  f"h={self.h!r}, n2={self.n2}")
         if self.n2 >= 2 and not self.r + self.a <= self.h:
             raise ConfigError(
                 f"multi-level activations (n2={self.n2}) need r + a <= h for their "

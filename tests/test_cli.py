@@ -12,7 +12,7 @@ import pytest
 
 import gxnor.layers
 import gxnor.network
-from gxnor.checkpoint import load_checkpoint
+from gxnor.checkpoint import load_checkpoint, save_checkpoint
 from gxnor.cli import main
 from gxnor.config import RunConfig, read_metrics
 from gxnor.data import resolve_dataset
@@ -268,6 +268,16 @@ class TestSweep:
         assert run("sweep", "--config", config_path, "--param", "m",
                    "--values", "-1.0", "--out-dir", str(tmp_path)) == 2
 
+    def test_activation_grid_beyond_fifteen_fails_before_any_training(
+            self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--config", config_path, "--param", "n2",
+                   "--values", "1,64", "--out-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n2=64 exceeds 15" in captured.err
+        assert not out.exists()
+
 
 class TestCostModel:
     def test_uniform_table(self, capsys):
@@ -305,6 +315,53 @@ class TestCostModel:
         # Two weighted layers in mlp-16-32-4, five architecture rows each.
         assert len(layer_rows) == 10
         assert any(",gxnor," in l for l in layer_rows)
+
+    @pytest.fixture
+    def multilevel_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "n1_2.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n1=2).to_text())
+        out = tmp_path / "out"
+        assert run("train", "--config", str(cfg), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        return str(out / "model.gxnr")
+
+    @staticmethod
+    def hand_rows(path, a_zeros):
+        """TWN and GXNOR rows of mlp-16-32-4's weighted layers 1 and 4, from
+        each layer's share of zero weights and its input's zero fraction."""
+        net, _, _ = load_checkpoint(path)
+        rows = []
+        for i, a_zero in zip((1, 4), a_zeros):
+            w = net.layers[i].weight.value
+            fan_in, w_zero = w.shape[1], np.mean(w == 0)
+            open_share = (1 - w_zero) * (1 - a_zero)
+            rows += [
+                f"layer{i},{fan_in},twn,0,{(1 - w_zero) * fan_in:g},0,0,{100 * w_zero:.1f}%",
+                f"layer{i},{fan_in},gxnor,0,0,{open_share * fan_in:g},1,"
+                f"{100 * (1 - open_share):.1f}%",
+            ]
+        return rows
+
+    def test_checkpoint_rows_follow_zero_fractions(self, multilevel_checkpoint, capsys):
+        _, _, header = load_checkpoint(multilevel_checkpoint)
+        # The first Dense sees the raw features; the second, the QuantAct's output.
+        a_zeros = [0.0, header["activation_zero_fractions"][0]]
+        assert a_zeros[1] > 0
+        assert run("costmodel", "--checkpoint", multilevel_checkpoint) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = self.hand_rows(multilevel_checkpoint, a_zeros)
+        assert [l for l in lines if ",twn," in l or ",gxnor," in l] == expected
+        assert any(not l.endswith(",0.0%") for l in expected[::2])  # some weights are 0
+
+    def test_checkpoint_without_activation_fractions_costs_dense_inputs(
+            self, multilevel_checkpoint, tmp_path, capsys):
+        net, cfg, _ = load_checkpoint(multilevel_checkpoint)
+        bare = str(tmp_path / "bare.gxnr")
+        save_checkpoint(bare, net, cfg, activation_zero_fractions=None)
+        assert run("costmodel", "--checkpoint", bare) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = self.hand_rows(bare, [0.0, 0.0])
+        assert [l for l in lines if ",twn," in l or ",gxnor," in l] == expected
 
 
 class TestExitCodes:
@@ -386,6 +443,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "r=0.9" in err and "a=0.5" in err and "h=1.0" in err
         assert FAST_BLOBS.architecture not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n2", [16, 40, 64, 1000])
+    def test_activation_grid_beyond_fifteen_is_config_error(self, tmp_path, capsys, n2):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n2=n2, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"n2={n2} exceeds 15" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rect_pulse_whose_height_overflows_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, surrogate="rect", a=1e-320).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "rect pulse's height dz / (2a) overflows at a=1e-320" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_value_leaves_no_out_dir(self, tmp_path, capsys):

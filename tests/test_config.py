@@ -102,6 +102,18 @@ class TestRunConfig:
         dataclasses.replace(RunConfig(), surrogate="tri", a=2.0 ** -511).validate()
         dataclasses.replace(RunConfig(), surrogate="rect", a=1e-300).validate()
 
+    def test_activation_grid_beyond_fifteen_rejected(self):
+        for n2 in (16, 40, 64, 1000):
+            with pytest.raises(ConfigError, match=rf"n2={n2} exceeds 15.*one pass .* per pulse"):
+                dataclasses.replace(RunConfig(), n2=n2).validate()
+        dataclasses.replace(RunConfig(), n2=15).validate()
+
+    def test_rect_pulse_whose_height_overflows_rejected(self):
+        # dz / (2a) = 1 / 2e-320 overflows; at a = 1e-300 it is finite.
+        with pytest.raises(ConfigError, match=r"rect pulse's height dz / \(2a\) overflows"):
+            dataclasses.replace(RunConfig(), surrogate="rect", a=1e-320).validate()
+        dataclasses.replace(RunConfig(), surrogate="rect", a=1e-300).validate()
+
     def test_multilevel_activation_span_checked(self):
         with pytest.raises(ConfigError, match=r"r \+ a <= h.*r=0\.9, a=0\.5, h=1\.0"):
             dataclasses.replace(RunConfig(), n2=2, r=0.9).validate()
