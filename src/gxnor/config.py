@@ -85,7 +85,9 @@ class RunConfig:
             raise ConfigError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
                               "divides by a*a, which underflows to zero below that")
         if self.surrogate == "rect":
-            height = DiscreteSpace(self.n2, self.h).dz / (2.0 * self.a)
+            # The backward pass multiplies pulse counts, mostly 0, by this
+            # height; an infinite one makes 0 * inf = NaN slopes.
+            height =DiscreteSpace(self.n2, self.h).dz / (2.0 * self.a)
             if not math.isfinite(height):
                 raise ConfigError(f"a rect pulse's height dz / (2a) overflows at a={self.a!r}, "
                                   f"h={self.h!r}, n2={self.n2}")
