@@ -11,7 +11,11 @@ Run it on two checkouts and diff the output.  It prints one sha256 per line:
 * ``conv_6_steps``: six seeded training steps of
   ``conv-32c5-mp2-64c5-mp2-512fc`` on perfbench's synthetic images.  It
   hashes the losses, then every grid weight tensor, then each batch norm's
-  gamma, beta and running statistics, then both optimizers' Adam moments.
+  gamma, beta and running statistics, then both optimizers' Adam moments;
+* ``conv_eval``: one ``evaluate`` of that trained net over 2 500 further
+  images, batches of 1 000, 1 000 and 500: the first runs each batch norm
+  and quantizer pair unfused, the second compiles their folds and the third
+  reuses them.  It hashes each batch's scores and zero fractions.
 
 The package and the workloads come from this checkout's ``src/`` and
 ``perfbench/``.  Results can depend on the BLAS build and its thread count,
@@ -38,6 +42,7 @@ import gxnor.cli  # noqa: E402
 import workloads  # noqa: E402
 
 CONV_STEPS = 6
+EVAL_IMAGES = 2500
 
 
 def file_digest(path: str) -> str:
@@ -67,7 +72,7 @@ def mlp_digest(seed: int) -> str:
     return run.digests()["loss_sequence_sha256"]
 
 
-def conv_digest(seed: int) -> str:
+def conv_digests(seed: int) -> dict[str, str]:
     rng = np.random.default_rng(seed)
     train = workloads.synthetic_images(rng, CONV_STEPS * workloads.BATCH)
     net = gxnor.build_network(workloads.CONV, seed=seed)
@@ -85,6 +90,26 @@ def conv_digest(seed: int) -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    test = workloads.synthetic_images(rng, EVAL_IMAGES)
+    return {"conv_6_steps": h.hexdigest(), "conv_eval": eval_digest(net, test)}
+
+
+def eval_digest(net: gxnor.Network, test: gxnor.Dataset) -> str:
+    """sha256 of each batch's scores and zero fractions in one ``evaluate``."""
+    h = hashlib.sha256()
+    walk = gxnor.network._walk
+
+    def hashed_walk(*args, **kwargs):
+        scores, zeros = walk(*args, **kwargs)
+        h.update(np.ascontiguousarray(scores, dtype=np.float64).tobytes())
+        h.update(np.asarray(zeros, dtype=np.float64).tobytes())
+        return scores, zeros
+
+    gxnor.network._walk = hashed_walk
+    try:
+        gxnor.evaluate(net, test)
+    finally:
+        gxnor.network._walk = walk
     return h.hexdigest()
 
 
@@ -94,7 +119,7 @@ def main(argv=None) -> int:
     seed = parser.parse_args(argv).seed
     digests = blobs_digests(seed)
     digests["mlp_train_losses"] = mlp_digest(seed)
-    digests["conv_6_steps"] = conv_digest(seed)
+    digests.update(conv_digests(seed))
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

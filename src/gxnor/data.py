@@ -14,8 +14,6 @@ import gzip
 import hashlib
 import os
 import struct
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +162,10 @@ def _md5(path: str) -> str:
 
 def fetch_mnist(data_dir: str, mirrors=MNIST_MIRRORS) -> None:
     """Download and checksum the four MNIST IDX files; skips verified files."""
+    # Imported here: urllib.request loads ssl, which no other command needs.
+    import urllib.error
+    import urllib.request
+
     os.makedirs(data_dir, exist_ok=True)
     for name, want in MNIST_FILES.items():
         dest = os.path.join(data_dir, name)

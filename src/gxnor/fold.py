@@ -62,7 +62,7 @@ def _bisect(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def pair_state(bn: BatchNorm, qa: QuantAct) -> tuple:
     """Everything a pair's thresholds depend on, compared by exact bytes."""
     return (bn.running_mean.tobytes(), bn.running_var.tobytes(), bn.gamma.value.tobytes(),
-            bn.beta.value.tobytes(), qa.space, qa.spec, np.dtype(qa.dtype))
+            bn.beta.value.tobytes(), qa.space, qa.spec)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class Fold:
     upper: list[np.ndarray]
     lower: list[np.ndarray]
     binary: bool
-    step: np.floating
-    dtype: np.dtype
+    step: float
 
     def _compares(self, x: np.ndarray, s: slice = slice(None)):
         """Each step's compares on ``x``, which holds channels ``s``."""
@@ -96,7 +95,7 @@ class Fold:
     def levels(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """The pair's output on ``x`` (real or integer) and its zero count,
         a block of whole channels at a time as in ``QuantAct.forward``."""
-        out = np.empty(x.shape, self.dtype)
+        out = np.empty(x.shape)
         zeros = 0
         for s in _channel_blocks(x):
             up, down = self._compares(x[s], s)
@@ -126,17 +125,16 @@ def compile_pair(bn: BatchNorm, qa: QuantAct) -> Fold | None:
             and (np.isfinite(gamma) & (gamma != 0)).all()
             and (np.isfinite(scale) & (scale != 0)).all()):
         return None
-    dtype = np.dtype(qa.dtype)
     space = qa.space
     if space.num_states - 1 > MAX_STEPS:
         return None
-    grid = space.states().astype(dtype)
+    grid = space.states()
     binary = space.n == 0
-    step = dtype.type(space.h if binary else space.dz)
+    step = space.h if binary else space.dz
     codes = np.array([-1, 1]) if binary else np.arange(len(grid)) - len(grid) // 2
     # The output arithmetic must give the grid bit for bit, with a zero
     # only at the dead zone's code, which the zero count relies on.
-    values = codes.astype(dtype) * step
+    values = codes * step
     if values.tobytes() != grid.tobytes() or np.count_nonzero(values) != len(codes) - (not binary):
         return None
     nan_level = 0 if binary else len(grid) // 2  # the level of Q(NaN)
@@ -164,4 +162,4 @@ def compile_pair(bn: BatchNorm, qa: QuantAct) -> Fold | None:
     upper = _keys_to_floats(first[nan_level:] - 1)   # x' > t: level above the row
     lower = _keys_to_floats(first[:nan_level])       # x' < t: level at most the row
     flip = sign if (sign < 0).any() else None
-    return Fold(flip, list(upper), list(lower), binary, step, dtype)
+    return Fold(flip, list(upper), list(lower), binary, step)

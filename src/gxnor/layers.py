@@ -15,15 +15,15 @@ Inside a conv net every 4-D activation is channel-major and batch-last,
 that layout, and a batch-last ``Flatten`` turns it into ``(b, c*h*w)`` rows
 in ``(c, h, w)`` feature order, so dense layers see ``(b, features)``.
 
-Every layer computes in float64, with one exception: a ``QuantAct`` whose
-next weighted layer is a ``Conv2d`` exact on float32 input (the rule is in
-:class:`Conv2d`) gives float32 output.  Every ``Conv2d`` and ``Dense`` returns
-float64, and every backward pass is float64.
+Every layer computes in float64, with one exception: a ``Conv2d`` whose
+forward product is exact in float32 (:func:`_exact_in_float32`) runs it in
+float32.  Every layer returns float64, and every backward pass is float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp
 
 import numpy as np
 
@@ -153,6 +153,22 @@ def _panel_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         out[:, whole:] = (a @ pad)[:, :n - whole]
 
 
+def _exact_in_float32(w_space: DiscreteSpace, a_space: DiscreteSpace, fan_in: int) -> bool:
+    """Whether dot products of ``fan_in`` ``w_space`` values with ``a_space``
+    values are exact in float32: when both grids have a power-of-two ``h``
+    within ``2**±40`` and ``fan_in * M_w * M_a <= 2**24``, where ``M =
+    2**(n-1)`` (1 for a binary grid).  Every partial sum is then an integer
+    multiple of the product of the two grid units, at most ``2**24`` of them,
+    inside float32's normal range, so float32 holds it in any order."""
+    units = fan_in
+    for space in (w_space, a_space):
+        mantissa, exponent = frexp(space.h)
+        if mantissa != 0.5 or abs(exponent) > 40:
+            return False
+        units *= 2 ** (space.n - 1) if space.n >= 1 else 1
+    return units <= 1 << 24
+
+
 class Conv2d(Layer):
     """Valid, stride-1 cross-correlation with grid-valued kernels (out_c, in_c, k, k).
 
@@ -167,34 +183,34 @@ class Conv2d(Layer):
     is computed inside a whole BLAS panel (see :func:`_panel_matmul`), so
     neither the block size nor the batch size nor an image's place in the
     batch changes an output value: on real-valued input for ``c*k*k`` up to
-    about 300 (conv1 of the MNIST net has 25), on exact float32 input for
-    any ``c*k*k``.  Backward adds ``g @ cols.T`` to the kernel gradient and
+    about 300 (conv1 of the MNIST net has 25), in an exact float32 product
+    for any ``c*k*k``.  Backward adds ``g @ cols.T`` to the kernel gradient and
     scatter-adds ``W.T @ g`` over the same taps into the input gradient, and
     skips the latter in a network's first weighted layer.
 
-    Forward computes in its input's dtype (only the kernel is cast) and
-    returns float64.  A float32 input is exact when both operands are on
-    grids with a power-of-two ``h`` within ``2**±40`` and ``c*k*k * M_w * M_a
-    <= 2**24``, where ``M = 2**(n-1)`` (1 for a binary grid): every partial
-    sum is then an integer multiple of the product of the two grid units, at
-    most ``2**24`` of them, inside float32's normal range, so float32 holds it
-    exactly in any summation order.  ``build_network`` feeds a conv float32
-    only then, from the ``QuantAct`` before it; a network's first conv, on
-    real pixels, runs in float64.  Backward runs in float64 whatever the
-    input dtype.
+    ``input_space`` is the grid that every input value lies on, or None for
+    real input such as pixels.  Forward casts its input and kernel to
+    ``gemm_dtype``, builds its columns in it, and returns float64.
+    ``gemm_dtype`` is float32 where :func:`_exact_in_float32` holds for the
+    weight grid, the input grid and ``c*k*k``, and float64 elsewhere.
+    Backward runs in float64.
     """
 
     # About a 2 MB L2 cache's worth of columns and their product.
     BLOCK_BYTES = 3 << 19
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 space: DiscreteSpace, seed: int, layer_index: int):
+                 space: DiscreteSpace, seed: int, layer_index: int,
+                 input_space: DiscreteSpace | None = None):
         if kernel_size < 1:
             raise ValueError("kernel size must be positive")
         rng = param_stream(seed, layer_index)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
+        exact = input_space is not None and _exact_in_float32(
+            space, input_space, in_channels * kernel_size ** 2)
+        self.gemm_dtype = np.dtype(np.float32 if exact else np.float64)
         self.weight = GridParam(
             value=init_grid_weights(
                 (out_channels, in_channels, kernel_size, kernel_size), space, rng),
@@ -234,10 +250,13 @@ class Conv2d(Layer):
         _, h, w, b = x.shape
         oh, ow = self.out_hw(h, w)
         o = self.out_channels
-        kernel = self.weight.value.reshape(o, -1).astype(x.dtype, copy=False)
-        out = np.empty((o, oh, ow, b), x.dtype)
-        blocks, cols_size = self._blocks(oh, ow, b, x.itemsize)
-        cols_buf = np.empty(cols_size, x.dtype)
+        dtype = self.gemm_dtype
+        # One cast up front: the k*k tap copies then read half the bytes.
+        x = x.astype(dtype, copy=False)
+        kernel = self.weight.value.reshape(o, -1).astype(dtype, copy=False)
+        out = np.empty((o, oh, ow, b), dtype)
+        blocks, cols_size = self._blocks(oh, ow, b, dtype.itemsize)
+        cols_buf = np.empty(cols_size, dtype)
         for i0, i1 in blocks:
             # out[:, i0:i1] as a (o, rows*ow*b) view: rows i0..i1 of every channel.
             _panel_matmul(kernel, self._columns(x, i0, i1, cols_buf),
@@ -254,8 +273,6 @@ class Conv2d(Layer):
         blocks, cols_size = self._blocks(oh, ow, b, grad.itemsize)
         cols_buf = np.empty(cols_size)
         dkernel = np.zeros(kernel.shape)
-        # np.zeros(x.shape), not zeros_like: the input gradient is float64
-        # even where the input was float32.
         dx = np.zeros(x.shape) if self.input_grad else None
         dcols_buf = np.empty(cols_size) if self.input_grad else None
         for i0, i1 in blocks:
@@ -446,14 +463,7 @@ class QuantAct(Layer):
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)``; tri pulses cache the input and rebuild the
     surrogate.  Forward goes through :func:`_channel_blocks`.
-
-    Forward's output has dtype ``dtype``: float64 unless ``build_network``
-    sets float32, for a ``QuantAct`` whose next weighted layer is a ``Conv2d``
-    exact on it by the rule in :class:`Conv2d`.  Backward is float64 either
-    way.
     """
-
-    dtype = np.float64
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
         # Multi-level bands only exist for r < h; binary/ternary thresholds may
@@ -475,10 +485,10 @@ class QuantAct(Layer):
         blocks = _channel_blocks(x)
         if len(blocks) == 1:
             # The quantizer's own output: no second full-size array.
-            out = self._activation(x).astype(self.dtype, copy=False)
+            out = self._activation(x)
             count = rect_pulse_count(x, self.space, self.spec) if counting else None
         else:
-            out = np.empty(x.shape, self.dtype)
+            out = np.empty(x.shape)
             count = None
             for s in blocks:
                 out[s] = self._activation(x[s])

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 import time
-from math import frexp, prod
+from math import prod
 
 import numpy as np
 
@@ -147,19 +147,6 @@ def _quant_block(space: DiscreteSpace, spec: SurrogateSpec, features: int):
     return [BatchNorm(features), QuantAct(space, spec)]
 
 
-def _exact_in_float32(w_space: DiscreteSpace, a_space: DiscreteSpace, fan_in: int) -> bool:
-    """Whether a ``Conv2d`` with ``fan_in = c*k*k`` on these weight and
-    activation grids is exact on float32 input, by the rule in
-    :class:`~gxnor.layers.Conv2d`."""
-    units = fan_in
-    for space in (w_space, a_space):
-        mantissa, exponent = frexp(space.h)
-        if mantissa != 0.5 or abs(exponent) > 40:
-            return False
-        units *= 2 ** (space.n - 1) if space.n >= 1 else 1
-    return units <= 1 << 24
-
-
 def build_network(
     architecture: str,
     *,
@@ -198,11 +185,9 @@ def build_network(
     for token in tokens:
         if flat is None and (m := re.fullmatch(rf"({WIDTH})c({WIDTH})", token)):
             out_c, k = int(m.group(1)), int(m.group(2))
-            # The last QuantAct so far feeds this conv; every other stays float64.
-            feed = next((l for l in reversed(layers) if isinstance(l, QuantAct)), None)
-            if feed is not None and _exact_in_float32(w_space, a_space, chans * k * k):
-                feed.dtype = np.float32
-            conv = Conv2d(chans, out_c, k, w_space, seed, widx)
+            # Pixels, pooled or not, until a conv's quantized activation.
+            conv = Conv2d(chans, out_c, k, w_space, seed, widx,
+                          input_space=a_space if widx else None)
             widx += 1
             chans, (height, width) = out_c, conv.out_hw(height, width)
             layers += [conv, *_quant_block(a_space, spec, out_c)]

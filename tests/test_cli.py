@@ -39,6 +39,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def src_env():
+    """The environment for a subprocess that imports gxnor from this checkout."""
+    src = os.path.dirname(os.path.dirname(gxnor.layers.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def overclaiming_mnist(root):
     """An MNIST directory whose training images header claims 2**32 - 1
     images of 65535 x 65535 pixels, followed by 100 bytes."""
@@ -209,17 +216,23 @@ class TestEval:
 class TestConvNet:
     def test_train_then_float_eval_of_a_conv_net(self, tmp_path, capsys):
         # 1x1 kernels are the only unpooled convs that fit blobs' 1x16 images.
-        cfg = tmp_path / "conv.cfg"
-        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture="conv-8c1-16fc").to_text())
-        out = tmp_path / "out"
-        assert run("train", "--config", str(cfg), "--out-dir", str(out)) == 0
-        capsys.readouterr()
-        assert run("eval", "--checkpoint", str(out / "model.gxnr")) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "inference=float" in lines
-        _, records = read_metrics(str(out / "metrics.csv"))
-        assert len(records) == 2
-        assert f"test_accuracy={records[-1].test_accuracy!r}" in lines
+        # A second conv takes ternary input, which it multiplies in float32.
+        for architecture, gemm_dtypes in [("conv-8c1-16fc", [np.float64]),
+                                          ("conv-8c1-8c1-16fc", [np.float64, np.float32])]:
+            cfg = tmp_path / f"{architecture}.cfg"
+            cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())
+            out = tmp_path / architecture
+            assert run("train", "--config", str(cfg), "--out-dir", str(out)) == 0
+            capsys.readouterr()
+            assert run("eval", "--checkpoint", str(out / "model.gxnr")) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "inference=float" in lines
+            _, records = read_metrics(str(out / "metrics.csv"))
+            assert len(records) == 2
+            assert f"test_accuracy={records[-1].test_accuracy!r}" in lines
+            net = load_checkpoint(str(out / "model.gxnr"))[0]
+            convs = [l for l in net.layers if isinstance(l, gxnor.layers.Conv2d)]
+            assert [c.gemm_dtype for c in convs] == gemm_dtypes
 
 
 class TestSweep:
@@ -364,16 +377,21 @@ class TestCostModel:
         assert [l for l in lines if ",twn," in l or ",gxnor," in l] == expected
 
 
+def test_importing_the_cli_loads_no_network_code():
+    # Only fetch_mnist needs urllib.request, and with it ssl; it imports them.
+    code = "import sys, gxnor.cli; print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(),
+                          check=True, timeout=60)
+    assert proc.stdout == b"[]\n"
+
+
 class TestExitCodes:
     def test_closed_stdout_exits_4_quietly(self):
         # 2000 fan-ins print some 340 kB, more than a pipe buffer holds, so
         # the command is still writing when its reader leaves.
-        src = os.path.dirname(os.path.dirname(gxnor.layers.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         fan_ins = ",".join(str(n) for n in range(1, 2001))
         proc = subprocess.Popen([sys.executable, "-m", "gxnor", "costmodel", "--fan-in", fan_ins],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
         assert proc.stdout.readline().startswith(b"source,fan_in,")
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)

@@ -1,7 +1,5 @@
 """The threshold fold against the unfused BatchNorm -> QuantAct pair, byte for byte."""
 
-from math import frexp
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,9 +47,6 @@ def pairs(draw):
     else:
         r = 0.5
     qa = QuantAct(make_space(n, h), SurrogateSpec(a=(h - r) / 2 if n >= 2 else 0.5, r=r))
-    # float32 output only where build_network gives it: on a power-of-two h.
-    if frexp(h)[0] == 0.5 and draw(st.booleans()):
-        qa.dtype = np.float32
     channels = draw(st.integers(1, 5))
     column = lambda elements: np.array(draw(st.lists(elements, min_size=channels,
                                                      max_size=channels)))

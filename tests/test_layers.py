@@ -193,20 +193,27 @@ class TestConv2d:
 
     def test_row_blocks_change_no_value(self, monkeypatch):
         layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=5, layer_index=0)
+        # The same kernel on input from the grid of integers -2..2, which it
+        # multiplies in float32.
+        exact = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=5, layer_index=0,
+                       input_space=DiscreteSpace(n=2, h=2.0))
+        assert exact.gemm_dtype == np.float32
         rng = np.random.default_rng(16)
         x = batch_last(rng.normal(size=(5, 3, 9, 7)))
         ints = batch_last(rng.integers(-2, 3, size=(5, 3, 9, 7)).astype(float))
         g = batch_last(rng.integers(-2, 3, size=(5, 4, 7, 5)).astype(float))
         whole = layer.forward(x, training=False)
-        whole_ints = layer.forward(ints.astype(np.float32), training=False)
+        whole_ints = exact.forward(ints, training=False)
         # Two output rows of float64 columns per block (3*3*3 values per
-        # column, 5*5 columns per row): blocks of 2, 2, 2 and 1 rows.
+        # column, 5*5 columns per row): blocks of 2, 2, 2 and 1 rows; four
+        # rows of float32 columns: blocks of 4 and 3 rows.
         monkeypatch.setattr(Conv2d, "BLOCK_BYTES", 8 * 3 * 3 * 3 * 5 * 5 * 2)
         assert layer._blocks(7, 5, 5, 8)[0] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert exact._blocks(7, 5, 5, 4)[0] == [(0, 4), (4, 7)]
         # Every column is computed inside a whole BLAS panel, so even
         # real-valued outputs are equal bit for bit.
         assert np.array_equal(layer.forward(x, training=False), whole)
-        blocked_ints = layer.forward(ints.astype(np.float32), training=False)
+        blocked_ints = exact.forward(ints, training=False)
         assert np.array_equal(blocked_ints, whole_ints)
         assert np.array_equal(batch_first(blocked_ints),
                               einsum_conv_forward(batch_first(ints), layer.weight.value))
@@ -241,15 +248,19 @@ class TestConv2d:
             gxnor.layers._panel_matmul(a, b[:, start:stop], part)
             assert np.array_equal(part, whole[:, start:stop])
 
-    def test_float32_input_gives_the_float64_backward(self):
-        layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=6, layer_index=1)
+    def test_float32_columns_give_the_float64_backward(self):
+        # On ternary input the conv multiplies in float32; its output and
+        # gradients are the float64 conv's, in float64.
         rng = np.random.default_rng(18)
         q = batch_last(rng.integers(-1, 2, size=(5, 3, 8, 7)).astype(float))
         g = batch_last(rng.normal(size=(5, 4, 6, 5)))
         runs = []
-        for x in (q, q.astype(np.float32)):
-            out = layer.forward(x, training=True)
+        for input_space in (None, TERNARY):
+            layer = Conv2d(3, 4, kernel_size=3, space=TERNARY, seed=6, layer_index=1,
+                           input_space=input_space)
+            out = layer.forward(q, training=True)
             runs.append((out, layer.backward(g), layer.weight.grad))
+        assert layer.gemm_dtype == np.float32
         for a, b in zip(*runs):
             assert b.dtype == np.float64
             assert np.array_equal(a, b)
@@ -285,10 +296,11 @@ class TestConv2d:
 
 
 def quant_conv(n1, n2, h, c, k, seed=0):
-    """A float32 QuantAct on grid n2 and the Conv2d (grid n1) that it feeds."""
-    qa = QuantAct(DiscreteSpace(n2, h), SurrogateSpec(a=h / 4, r=h / 4))
-    qa.dtype = np.float32
-    return qa, Conv2d(c, 2, kernel_size=k, space=DiscreteSpace(n1, h), seed=seed, layer_index=1)
+    """A QuantAct on grid n2 and the Conv2d (grid n1) that it feeds."""
+    space = DiscreteSpace(n2, h)
+    qa = QuantAct(space, SurrogateSpec(a=h / 4, r=h / 4))
+    return qa, Conv2d(c, 2, kernel_size=k, space=DiscreteSpace(n1, h), seed=seed, layer_index=1,
+                      input_space=space)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,11 +309,11 @@ def quant_conv(n1, n2, h, c, k, seed=0):
 def test_float32_grid_conv_equals_float64_reference(n1, n2, h, c, k, seed):
     qa, conv = quant_conv(n1, n2, h, c, k, seed)
     rng = np.random.default_rng(seed)
+    assert conv.gemm_dtype == np.float32
     q = qa.forward(rng.normal(scale=1.5 * h, size=(c, k + 2, k + 1, 3)), training=False)
-    assert q.dtype == np.float32
     out = conv.forward(q, training=False)
     assert out.dtype == np.float64
-    ref = einsum_conv_forward(batch_first(q.astype(np.float64)), conv.weight.value)
+    ref = einsum_conv_forward(batch_first(q), conv.weight.value)
     assert np.array_equal(batch_first(out), ref)
 
 
@@ -312,6 +324,7 @@ def test_float32_grid_conv_is_exact_at_the_bound(n, c, k):
     M = 2 ** (n - 1)
     assert c * k * k * M * M == 1 << 24
     qa, conv = quant_conv(n, n, 1.0, c, k)
+    assert conv.gemm_dtype == np.float32
     rng = np.random.default_rng(19)
     top = lambda size: (M - rng.integers(0, 2, size=size)) / M
     conv.weight.value = top(conv.weight.value.shape)
@@ -319,7 +332,7 @@ def test_float32_grid_conv_is_exact_at_the_bound(n, c, k):
     q = qa.forward(x, training=False)
     assert np.array_equal(q, x)  # grid states quantize to themselves
     out = conv.forward(q, training=False)
-    ref = einsum_conv_forward(batch_first(q.astype(np.float64)), conv.weight.value)
+    ref = einsum_conv_forward(batch_first(q), conv.weight.value)
     assert np.array_equal(batch_first(out), ref)
 
 

@@ -58,21 +58,21 @@ class TestBuildNetwork:
         assert (fc[1].in_features, fc[1].out_features) == (8, 3)
 
     def test_float32_only_where_a_conv_is_exact_on_it(self):
-        dtypes = lambda net: [q.dtype for q in net.quant_layers()]
-        # conv2's K = 32*5*5 = 800 on ternary grids: far inside 2**24.  The
-        # QuantActs that feed Dense layers stay float64.
+        dtypes = lambda net: [l.gemm_dtype for l in net.layers if isinstance(l, Conv2d)]
+        # conv1 sees pixels; conv2's K = 32*5*5 = 800 on ternary grids: far
+        # inside 2**24.
         mnist = build_network("conv-32c5-mp2-64c5-mp2-512fc")
-        assert dtypes(mnist) == [np.float32, np.float64, np.float64]
-        assert dtypes(build_network("conv-32c5-mp2-64c5-mp2-512fc", h=0.75)) == [np.float64] * 3
+        assert dtypes(mnist) == [np.float64, np.float32]
+        assert dtypes(build_network("conv-32c5-mp2-64c5-mp2-512fc", h=0.75)) == [np.float64] * 2
         assert dtypes(build_network("conv-32c5-mp2-64c5-mp2-512fc", h=0.5)) == dtypes(mnist)
         # n1 = n2 = 11: M_w * M_a = 2**20, so K = 16 is exactly at the bound.
         at_bound = dict(n1=11, n2=11, input_shape=(1, 6, 6), classes=3)
-        assert dtypes(build_network("conv-1c1-1c4-4fc", **at_bound))[0] == np.float32
-        assert dtypes(build_network("conv-2c1-1c4-4fc", **at_bound))[0] == np.float64
-        assert dtypes(build_network("conv-1c1-1c4-4fc", **at_bound, h=3.0))[0] == np.float64
-        for n in range(4):
-            mlp = build_network("mlp-784-200-200-10", n1=n, n2=n, h=0.5, r=0.1, a=0.1)
-            assert dtypes(mlp) == [np.float64, np.float64]
+        assert dtypes(build_network("conv-1c1-1c4-4fc", **at_bound)) == [np.float64, np.float32]
+        assert dtypes(build_network("conv-2c1-1c4-4fc", **at_bound)) == [np.float64] * 2
+        assert dtypes(build_network("conv-1c1-1c4-4fc", **at_bound, h=3.0)) == [np.float64] * 2
+        # Pooled pixels are still pixels.
+        pooled = dict(at_bound, input_shape=(1, 12, 12))
+        assert dtypes(build_network("conv-mp2-1c1-1c4-4fc", **pooled)) == [np.float64, np.float32]
 
     def test_forward_shape(self):
         net = build_network("mlp-6-5-3", input_shape=(1, 2, 3), classes=3)
