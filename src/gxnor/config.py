@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, fields
 
-from .spaces import DiscreteSpace
+from .dst import lr_schedule
+from .layers import QuantAct
+from .spaces import DiscreteSpace, PulseShape, SurrogateSpec
 
 __all__ = [
     "CONFIG_VERSION",
@@ -59,50 +60,34 @@ class RunConfig:
     seed: int = 1
 
     def validate(self) -> "RunConfig":
+        """Check the rules no object owns, then build the grids, the surrogate spec, an
+        activation layer and the lr schedule, whose ``ValueError`` is a ``ConfigError``."""
         for key in ("h", "r", "a", "m", "lr_start", "lr_fin"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
-        if self.n1 < 0 or self.n2 < 0:
-            raise ConfigError("state parameters n1, n2 must be non-negative")
         if self.n1 > 15:
             raise ConfigError(f"n1={self.n1} exceeds 15: checkpoints store weight grid "
                               "indices as uint16, which hold 2**15 + 1 states at most")
-        if self.n2 > 15:
-            raise ConfigError(f"n2={self.n2} exceeds 15: the activation surrogate makes one "
-                              "pass over its input per pulse, and there are 2**(n2-1) pulses")
         # Weights and activations lie in [-h, h], so weight gradients grow like
         # h**3, and Adam squares them: 2**192 at h = 2**32, which leaves float64
         # over 2**800 of room for fan-in and batch.
-        if not 0 < self.h <= 2**32:
+        if not self.h <= 2**32:
             raise ConfigError(f"half-range h must lie in (0, 2**32], got h={self.h!r}")
-        if self.r < 0:
-            raise ConfigError("quantizer window r must be non-negative")
         if self.surrogate not in ("rect", "tri"):
             raise ConfigError(f"surrogate must be 'rect' or 'tri', got {self.surrogate!r}")
-        if not self.a > 0:
-            raise ConfigError("pulse half-width a must be positive")
-        if self.surrogate == "tri" and self.a * self.a < sys.float_info.min:
-            raise ConfigError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
-                              "divides by a*a, which underflows to zero below that")
-        if self.surrogate == "rect":
-            # The backward pass multiplies pulse counts, mostly 0, by this
-            # height; an infinite one makes 0 * inf = NaN slopes.
-            height =DiscreteSpace(self.n2, self.h).dz / (2.0 * self.a)
-            if not math.isfinite(height):
-                raise ConfigError(f"a rect pulse's height dz / (2a) overflows at a={self.a!r}, "
-                                  f"h={self.h!r}, n2={self.n2}")
-        if self.n2 >= 2 and not self.r + self.a <= self.h:
-            raise ConfigError(
-                f"multi-level activations (n2={self.n2}) need r + a <= h for their "
-                f"surrogate pulses, got r={self.r!r}, a={self.a!r}, h={self.h!r}")
         if not self.m > 0:
             raise ConfigError("transition factor m must be positive")
-        if not (self.lr_start > 0 and self.lr_fin > 0):
-            raise ConfigError("learning rates must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        try:
+            DiscreteSpace(self.n1, self.h)
+            spec = SurrogateSpec(PulseShape(self.surrogate), a=self.a, r=self.r)
+            QuantAct(DiscreteSpace(self.n2, self.h), spec)
+            lr_schedule(self.lr_start, self.lr_fin, self.epochs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
     def to_text(self) -> str:

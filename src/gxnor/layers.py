@@ -23,7 +23,7 @@ float32.  Every layer returns float64, and every backward pass is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp
+from math import frexp, isfinite
 
 import numpy as np
 
@@ -461,27 +461,37 @@ class QuantAct(Layer):
 
     For rect pulses, training forward caches each element's pulse count
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
-    pulse height ``dz / (2a)``; tri pulses cache the input and rebuild the
-    surrogate.  Forward goes through :func:`_channel_blocks`.
+    pulse height ``dz / (2a)`` set in ``__init__``; tri pulses cache the input
+    and rebuild the surrogate.  Forward goes through :func:`_channel_blocks`.
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
+        if space.n > 15:
+            raise ValueError(f"n2={space.n} exceeds 15: the activation surrogate makes one "
+                             "pass over its input per pulse, and there are 2**(n2-1) pulses")
         # Multi-level bands only exist for r < h; binary/ternary thresholds may
         # exceed h (that is how high activation sparsity is dialed in).
         if space.n >= 2 and not spec.r + spec.a <= space.h:
             raise ValueError(
-                f"multi-level surrogate pulses [r-a, r+a] must fit inside [-h, h]: "
-                f"r={spec.r}, a={spec.a}, h={space.h}")
+                f"multi-level activations (n2={space.n}) need r + a <= h for their "
+                f"surrogate pulses, got r={spec.r!r}, a={spec.a!r}, h={space.h!r}")
         self.space = space
         self.spec = spec
-        self._rect = spec.shape is PulseShape.RECTANGULAR
+        # None for tri pulses.  Backward multiplies pulse counts, mostly 0, by
+        # this height; an infinite one would make 0 * inf = NaN slopes.
+        self._height = None
+        if spec.shape is PulseShape.RECTANGULAR:
+            self._height = space.dz / (2.0 * spec.a)
+            if not isfinite(self._height):
+                raise ValueError(f"a rect pulse's height dz / (2a) overflows at a={spec.a!r}, "
+                                 f"h={space.h!r}, n2={space.n}")
         self._cache = None
 
     def _activation(self, x: np.ndarray) -> np.ndarray:
         return quantize_activation(x, self.space, self.spec.r)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        counting = training and self._rect
+        counting = training and self._height is not None
         blocks = _channel_blocks(x)
         if len(blocks) == 1:
             # The quantizer's own output: no second full-size array.
@@ -502,8 +512,8 @@ class QuantAct(Layer):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._rect:
-            slope = self._cache * (self.space.dz / (2.0 * self.spec.a))
+        if self._height is not None:
+            slope = self._cache * self._height
         else:
             slope = surrogate_activation(self._cache, self.space, self.spec)
         slope *= grad

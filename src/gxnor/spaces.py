@@ -10,6 +10,7 @@ as a 0-d array.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,6 +98,9 @@ class SurrogateSpec:
             raise ValueError(f"pulse half-width must be positive, got {self.a}")
         if self.r < 0:
             raise ValueError(f"window threshold must be non-negative, got {self.r}")
+        if self.shape is PulseShape.TRIANGULAR and self.a * self.a < sys.float_info.min:
+            raise ValueError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
+                             "divides by a*a, which underflows to zero below that")
 
 
 def quantize_ternary(x, r: float):
