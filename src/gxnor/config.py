@@ -60,8 +60,7 @@ class RunConfig:
     seed: int = 1
 
     def validate(self) -> "RunConfig":
-        """Check the rules no object owns, then build the grids, the surrogate spec, an
-        activation layer and the lr schedule, whose ``ValueError`` is a ``ConfigError``."""
+        """Check the rules no object owns; the objects built last check theirs."""
         for key in ("h", "r", "a", "m", "lr_start", "lr_fin"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")

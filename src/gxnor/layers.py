@@ -475,16 +475,14 @@ class QuantAct(Layer):
             raise ValueError(
                 f"multi-level activations (n2={space.n}) need r + a <= h for their "
                 f"surrogate pulses, got r={spec.r!r}, a={spec.a!r}, h={space.h!r}")
-        self.space = space
-        self.spec = spec
-        # None for tri pulses.  Backward multiplies pulse counts, mostly 0, by
-        # this height; an infinite one would make 0 * inf = NaN slopes.
-        self._height = None
-        if spec.shape is PulseShape.RECTANGULAR:
-            self._height = space.dz / (2.0 * spec.a)
-            if not isfinite(self._height):
-                raise ValueError(f"a rect pulse's height dz / (2a) overflows at a={spec.a!r}, "
-                                 f"h={space.h!r}, n2={space.n}")
+        self.space, self.spec = space, spec
+        # Backward multiplies rect pulse counts, mostly 0, by this height; an
+        # infinite one would make 0 * inf = NaN slopes.  None for tri pulses.
+        rect = spec.shape is PulseShape.RECTANGULAR
+        self._height = space.dz / (2.0 * spec.a) if rect else None
+        if rect and not isfinite(self._height):
+            raise ValueError(f"a rect pulse's height dz / (2a) overflows at a={spec.a!r}, "
+                             f"h={space.h!r}, n2={space.n}")
         self._cache = None
 
     def _activation(self, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ as a 0-d array.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -55,11 +56,14 @@ class DiscreteSpace:
             raise ValueError(f"state parameter must be a non-negative integer, got {self.n}")
         if not self.h > 0:
             raise ValueError(f"half-range must be positive, got {self.h}")
+        if not sys.float_info.min <= self.dz < math.inf:
+            raise ValueError(f"grid step dz={self.dz!r} (n={self.n}, h={self.h!r}) must be a "
+                             "finite normal float, or grid states merge")
 
     @property
     def dz(self) -> float:
-        # 2.0 ** (n - 1) is exact for n = 0 as well, yielding dz = 2h.
-        return self.h / 2.0 ** (self.n - 1)
+        # h * 2**(1 - n), exact; ldexp gives 0.0 where 2.0 ** (n - 1) would overflow.
+        return 2.0 * self.h if self.n == 0 else math.ldexp(self.h, 1 - self.n)
 
     @property
     def num_states(self) -> int:

@@ -1,21 +1,27 @@
 """Command-line workflows exercised in-process through main()."""
 
+import contextlib
 import dataclasses
+import io
 import logging
+import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gxnor.layers
 import gxnor.network
 from gxnor.checkpoint import load_checkpoint, save_checkpoint
 from gxnor.cli import main
-from gxnor.config import RunConfig, read_metrics
+from gxnor.config import ConfigError, RunConfig, read_metrics
 from gxnor.data import resolve_dataset
+from gxnor.network import build_network
 
 FAST_BLOBS = RunConfig(
     architecture="mlp-16-32-4",
@@ -481,6 +487,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_weight_grid_step_below_normal_is_config_error(self, tmp_path, capsys):
+        # dz = 1e-320 / 2**14 is 0.0, which merges the weight grid's states.
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, n1=15, h=1e-320, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "grid step dz=0.0 (n=15, h=1e-320)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_value_leaves_no_out_dir(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(FAST_BLOBS.to_text().replace("r=0.5", "r=nan"))
@@ -550,3 +565,49 @@ class TestExitCodes:
         junk = tmp_path / "junk.gxnr"
         junk.write_bytes(b"not a checkpoint")
         assert run("eval", "--checkpoint", str(junk)) == 4
+
+
+# Edge values for h, r and a: zero, the smallest subnormal, 2**-511 (where a
+# tri pulse's a*a leaves the normal range) and its neighbours, tiny, unit,
+# and either side of h's bound of 2**32.
+EDGE_FLOATS = [0.0, 5e-324, math.nextafter(2.0**-511, 0.0), 2.0**-511,
+               math.nextafter(2.0**-511, 1.0), 1e-300, 0.5, 1.0, 2.0**32, 2.0**33, 1e300]
+STATE_PARAMS = [*range(17), 64]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(n1=st.sampled_from(STATE_PARAMS), n2=st.sampled_from(STATE_PARAMS),
+       surrogate=st.sampled_from(["rect", "tri"]), h=st.sampled_from(EDGE_FLOATS),
+       r=st.sampled_from(EDGE_FLOATS), a=st.sampled_from(EDGE_FLOATS))
+def test_config_rejects_exactly_the_grids_and_pulses_no_net_is_built_for(
+        n1, n2, surrogate, h, r, a):
+    """A grid or pulse rule has one owner, the object it constrains: validate
+    rejects a config exactly when build_network refuses its net on blobs'
+    shape, or when one of validate's own rules (n1 <= 15, h <= 2**32) fails.
+    A rejected config exits 2 from `gxnor train` before --out-dir exists."""
+    config = dataclasses.replace(FAST_BLOBS, n1=n1, n2=n2, surrogate=surrogate,
+                                 h=h, r=r, a=a, epochs=1)
+    try:
+        config.validate()
+        rejected = False
+    except ConfigError:
+        rejected = True
+    refused = n1 > 15 or h > 2**32
+    if not refused:
+        try:
+            build_network(config.architecture, n1=n1, n2=n2, h=h, r=r,
+                          surrogate=surrogate, a=a, input_shape=(1, 1, 16), classes=4)
+        except ValueError:
+            refused = True
+    assert rejected == refused
+    if rejected:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "edge.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w") as fh:
+                fh.write(config.to_text())
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("train", "--config", cfg, "--out-dir", out) == 2
+            assert err.getvalue().startswith("config error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not os.path.exists(out)

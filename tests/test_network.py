@@ -100,6 +100,16 @@ class TestBuildNetwork:
             with pytest.raises(ValueError):
                 build_network(architecture, input_shape=(1, 1, 16), classes=4)
 
+    # The CLI refuses each of these configs, so no caller may build its net:
+    # an activation grid past 15, a tri a whose a*a underflows, a rect pulse
+    # of infinite height, a weight grid step of 0.
+    @pytest.mark.parametrize("overrides", [
+        dict(n2=64), dict(surrogate="tri", a=1e-300), dict(surrogate="rect", a=1e-320),
+        dict(n1=15, h=1e-320)])
+    def test_rejects_grids_and_pulses_that_the_config_rejects(self, overrides):
+        with pytest.raises(ValueError):
+            build_network("mlp-16-32-4", input_shape=(1, 1, 16), classes=4, **overrides)
+
     def test_seed_controls_initial_weights(self):
         a = build_network("mlp-4-3-2", input_shape=(1, 1, 4), seed=1)
         b = build_network("mlp-4-3-2", input_shape=(1, 1, 4), seed=1)

@@ -63,6 +63,19 @@ class TestDiscreteSpace:
         with pytest.raises(ValueError):
             make_space(1, 0.0)
 
+    @pytest.mark.parametrize("n,h", [
+        (15, 1e-320), (2, 2.0**-1022), (0, 5e-324), (2000, 1.0), (0, 1.7e308)])
+    def test_rejects_a_step_that_is_not_a_finite_normal_float(self, n, h):
+        # A zero or subnormal dz merges grid states (n=15, h=1e-320 keeps
+        # 4049 distinct values of 32769) and divides index_of by zero.
+        with pytest.raises(ValueError, match=r"grid step dz=.* finite normal float"):
+            make_space(n, h)
+
+    def test_smallest_normal_step_is_a_grid(self):
+        space = make_space(1, 2.0**-1022)
+        assert space.dz == 2.0**-1022
+        assert np.array_equal(space.index_of(space.states()), [0, 1, 2])
+
 
 class TestTernaryQuantizer:
     def test_threshold_cases(self):
