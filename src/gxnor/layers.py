@@ -32,6 +32,7 @@ from .spaces import (
     DiscreteSpace,
     PulseShape,
     SurrogateSpec,
+    check_band_threshold,
     quantize_activation,
     rect_pulse_count,
     surrogate_activation,
@@ -475,6 +476,8 @@ class QuantAct(Layer):
             raise ValueError(
                 f"multi-level activations (n2={space.n}) need r + a <= h for their "
                 f"surrogate pulses, got r={spec.r!r}, a={spec.a!r}, h={space.h!r}")
+        if space.n >= 2:
+            check_band_threshold(space, spec.r)
         self.space, self.spec = space, spec
         # Backward multiplies rect pulse counts, mostly 0, by this height; an
         # infinite one would make 0 * inf = NaN slopes.  None for tri pulses.

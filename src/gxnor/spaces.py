@@ -25,6 +25,7 @@ __all__ = [
     "quantize_ternary",
     "quantize_binary",
     "quantize_multilevel",
+    "check_band_threshold",
     "quantize_activation",
     "surrogate_rect",
     "surrogate_tri",
@@ -105,6 +106,9 @@ class SurrogateSpec:
         if self.shape is PulseShape.TRIANGULAR and self.a * self.a < sys.float_info.min:
             raise ValueError(f"a tri pulse needs a >= 2**-511, got a={self.a!r}: its slope "
                              "divides by a*a, which underflows to zero below that")
+        if self.shape is PulseShape.TRIANGULAR and self.a * self.a == math.inf:
+            raise ValueError(f"a tri pulse needs a < 2**512, got a={self.a!r}: its slope "
+                             "divides by a*a, which overflows to infinity from there on")
 
 
 def quantize_ternary(x, r: float):
@@ -128,6 +132,12 @@ def quantize_binary(x, h: float = 1.0):
     return np.where(np.asarray(x, dtype=float) >= 0, h, -h)
 
 
+def check_band_threshold(space: DiscreteSpace, r: float) -> None:
+    """Reject a dead zone ``r`` that leaves the outer bands of ``[-h, h]`` no room."""
+    if not 0 <= r < space.h:
+        raise ValueError(f"threshold must satisfy 0 <= r < h, got r={r} h={space.h}")
+
+
 def quantize_multilevel(x, space: DiscreteSpace, r: float):
     """Map reals onto the grid through a dead zone and uniform outer bands.
 
@@ -139,8 +149,7 @@ def quantize_multilevel(x, space: DiscreteSpace, r: float):
     """
     if space.n < 1:
         raise ValueError("multilevel quantizer requires a grid with n >= 1")
-    if not 0 <= r < space.h:
-        raise ValueError(f"threshold must satisfy 0 <= r < h, got r={r} h={space.h}")
+    check_band_threshold(space, r)
     x = np.asarray(x, dtype=float)
     half_levels = 2 ** (space.n - 1)
     band = (space.h - r) / half_levels
@@ -211,7 +220,9 @@ def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
     One pulse in ``|x|`` per quantizer step (see :func:`pulse_centers`),
     each integrating to the step height ``dz``.  A rect pulse is ``dz / (2a)``
     high, so where rect pulses overlap the value is the covering count times
-    that height; tri pulses add up in center order.
+    that height; tri pulses add up in center order, each ramp evaluated only
+    where it is nonzero, so a narrow pulse on a wide grid cannot overflow
+    far from its center.
     """
     if spec.shape is PulseShape.RECTANGULAR:
         return np.asarray(rect_pulse_count(x, space, spec) * (space.dz / (2.0 * spec.a)))
@@ -221,8 +232,8 @@ def surrogate_activation(x, space: DiscreteSpace, spec: SurrogateSpec):
     for c in pulse_centers(space, spec):
         rising = (ax >= c - a) & (ax < c)
         falling = (ax >= c) & (ax <= c + a)
-        out += np.where(rising, scale * (ax - (c - a)) / (a * a), 0.0)
-        out += np.where(falling, -scale * (ax - (c + a)) / (a * a), 0.0)
+        out[rising] += scale * (ax[rising] - (c - a)) / (a * a)
+        out[falling] += -scale * (ax[falling] - (c + a)) / (a * a)
     return out
 
 

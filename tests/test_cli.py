@@ -487,6 +487,38 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_multilevel_threshold_at_h_is_config_error(self, tmp_path, capsys):
+        # r + a rounds to h, so the span rule holds, but r = h leaves the
+        # outer bands no room, which the quantizer refuses.
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(dataclasses.replace(
+            FAST_BLOBS, n2=6, h=0.5, r=0.5, a=2.0**-511, epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "threshold must satisfy 0 <= r < h, got r=0.5 h=0.5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tri_pulse_whose_square_overflows_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "broad.cfg"
+        cfg.write_text(dataclasses.replace(
+            FAST_BLOBS, n2=0, h=2.0**32, r=2.0**32, surrogate="tri", a=1e300,
+            epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "tri pulse needs a < 2**512, got a=1e+300" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_narrow_tri_pulses_on_a_wide_grid_train_without_warnings(self, tmp_path, capsys):
+        # RuntimeWarnings are errors here, as pyproject.toml sets for the tests.
+        # Far from a pulse 2**-510 wide, its ramp would overflow.
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(dataclasses.replace(
+            FAST_BLOBS, n2=2, h=2.0**32, r=2.0**-511, surrogate="tri", a=2.0**-511,
+            epochs=1).to_text())
+        assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+        capsys.readouterr()
+
     def test_weight_grid_step_below_normal_is_config_error(self, tmp_path, capsys):
         # dz = 1e-320 / 2**14 is 0.0, which merges the weight grid's states.
         cfg = tmp_path / "fine.cfg"

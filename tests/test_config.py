@@ -102,6 +102,14 @@ class TestRunConfig:
         dataclasses.replace(RunConfig(), surrogate="tri", a=2.0 ** -511).validate()
         dataclasses.replace(RunConfig(), surrogate="rect", a=1e-300).validate()
 
+    def test_tri_pulse_width_whose_square_overflows_rejected(self):
+        # a*a passes the largest float from a = 2**512 on.
+        for a in (2.0 ** 512, 1e300):
+            with pytest.raises(ConfigError, match=r"tri pulse needs a < 2\*\*512.*overflows"):
+                dataclasses.replace(RunConfig(), surrogate="tri", a=a).validate()
+        dataclasses.replace(RunConfig(), surrogate="tri", a=math.nextafter(2.0 ** 512, 0.0)).validate()
+        dataclasses.replace(RunConfig(), surrogate="rect", a=1e300).validate()
+
     def test_activation_grid_beyond_fifteen_rejected(self):
         for n2 in (16, 40, 64, 1000):
             with pytest.raises(ConfigError, match=rf"n2={n2} exceeds 15.*one pass .* per pulse"):

@@ -1,11 +1,15 @@
 """Stochastic grid transitions and their Adam front end."""
 
 import math
+import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import gxnor.dst
 from gxnor.dst import (
     AdamOptimizer,
     DstHyper,
@@ -46,9 +50,12 @@ def dense_projection(w, dw, hyper, rng):
     return space.states()[np.clip(idx, 0, space.num_states - 1)], moved
 
 
-def dense_dst_run(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Reference DST training: Adam moments rebuilt each step, then dense projections,
-    one tensor at a time, every tensor on the grid ``space``."""
+def dense_dst_steps(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps=1e-8,
+                    project=dense_projection):
+    """Reference DST training: Adam moments rebuilt each step and the full
+    increment, then ``project`` (dense by default), one tensor at a time,
+    every tensor on the grid ``space``.  Yields the values and moments after
+    each step."""
     rngs = [param_stream(seed, i) for i in range(len(values))]
     values = [v.copy() for v in values]
     m1 = [np.zeros_like(v) for v in values]
@@ -59,8 +66,14 @@ def dense_dst_run(values, grads, space, m, lr, seed, beta1=0.9, beta2=0.999, eps
             m2[i] = beta2 * m2[i] + (1.0 - beta2) * np.square(g)
             dw = -lr * (m1[i] / (1.0 - beta1**step)) / (
                 np.sqrt(m2[i] / (1.0 - beta2**step)) + eps)
-            values[i], _ = dense_projection(values[i], dw, DstHyper(space, m), rngs[i])
-    return values, m1, m2
+            values[i], _ = project(values[i], dw, DstHyper(space, m), rngs[i])
+        yield values, m1, m2
+
+
+def dense_dst_run(*args, **kwargs):
+    """The values and moments after the last step of :func:`dense_dst_steps`."""
+    *_, last = dense_dst_steps(*args, **kwargs)
+    return last
 
 
 def split(v, dz):
@@ -537,3 +550,177 @@ class TestValidation:
         params[1].grad = np.array([0.5, 1e160, 0.5])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="grid tensor 1 of shape"):
             opt.step()
+
+
+class GivenDraws:
+    """A stand-in stream whose draws are given, so a test can pick every ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+
+
+def moving_weights(m1, m2, u, t, lr, hyper):
+    """The weights that can move under the full Adam increment: ``|dw| >= dz``
+    or ``u < fl(fl(m |dw|) / dz)``, every weight computed."""
+    c1, c2 = 1.0 - AdamOptimizer.BETA1**t, 1.0 - AdamOptimizer.BETA2**t
+    dw = -lr * (m1 / c1) / (np.sqrt(m2 / c2) + AdamOptimizer.EPS)
+    y = np.abs(dw)
+    return (y >= hyper.space.dz) | (u < y * hyper.m / hyper.space.dz)
+
+
+def selections(step):
+    """Run ``step()`` and return the flat indices that each ``_candidates`` call selected."""
+    picked, select = [], gxnor.dst._candidates
+
+    def spy(*args):
+        picked.append(select(*args))
+        return picked[-1]
+
+    with mock.patch.object(gxnor.dst, "_candidates", spy):
+        step()
+    return picked
+
+
+def unscaled_bound(t, lr, hyper):
+    """``c1 dz / (max(m, 1) lr sqrt(c2))``, the real bound's factor with no
+    slack, exact but for ``sqrt(c2)``."""
+    c1, c2 = 1.0 - AdamOptimizer.BETA1**t, 1.0 - AdamOptimizer.BETA2**t
+    return (Fraction(c1) * Fraction(hyper.space.dz)
+            / (Fraction(max(hyper.m, 1.0)) * Fraction(lr) * Fraction(math.sqrt(c2))))
+
+
+# The smallest and largest grid steps that a config admits (2**-1022 and
+# 2**33), edge learning rates and moments, and ordinary ones.
+EXTREME_GRIDS = [make_space(1, 2.0**-1022), make_space(0, 2.0**32)]
+ORDINARY_GRIDS = [make_space(1, 1.0), make_space(2, 0.7), make_space(15, 1.0)]
+EXTREME_LRS = [5e-324, 1e-300, 1e300, sys.float_info.max]
+ORDINARY_LRS = [1e-4, 0.01, 0.5, 3.0]
+EDGE_MOMENTS = [0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-16, 1e-8, 1e-3, 1.0, 1e100,
+                1e300, sys.float_info.max]
+# Multiples of a weight's distance to the candidate rule or to the bound.
+NEAR = [0.5, 0.9, 1 - 2**-30, 1.0, 1 + 2**-30, 1.1, 1.25, 2.0, 4.0]
+EDGE_DRAWS = [0, 1, 2**52, 15 * 2**49, 2**53 - 1]
+
+
+@st.composite
+def bound_cases(draw):
+    """One DST step's grid, m, lr and t, and per weight a draw ``u`` (a
+    multiple of 2**-53, as NumPy makes them), a second moment and a recipe
+    for the first: an edge value, or a multiple of where the candidate rule
+    or the bound changes its verdict."""
+    space = draw(st.one_of(st.sampled_from(EXTREME_GRIDS), st.sampled_from(ORDINARY_GRIDS)))
+    hyper = DstHyper(space, draw(st.sampled_from([0.5, 3.0])))
+    lr = draw(st.one_of(st.sampled_from(EXTREME_LRS), st.sampled_from(ORDINARY_LRS)))
+    t, n = draw(st.sampled_from([1, 2, 1000])), 16
+    k = st.one_of(st.sampled_from(EDGE_DRAWS), st.integers(0, 2**53 - 1))
+    u = np.array(draw(st.lists(k, min_size=n, max_size=n)), dtype=float) * 2.0**-53
+    m2 = np.array(draw(st.lists(st.one_of(st.sampled_from(EDGE_MOMENTS),
+                                          st.floats(0.0, 1e6)), min_size=n, max_size=n)))
+    recipe = st.tuples(st.sampled_from(["edge", "rule", "bound"]),
+                       st.sampled_from(EDGE_MOMENTS), st.sampled_from(NEAR), st.booleans())
+    return hyper, lr, t, u, m2, draw(st.lists(recipe, min_size=n, max_size=n))
+
+
+def first_moments(recipes, u, m2, t, lr, hyper):
+    """Each weight's first moment after the step, by its recipe."""
+    c1, c2 = 1.0 - AdamOptimizer.BETA1**t, 1.0 - AdamOptimizer.BETA2**t
+    rule = Fraction(c1) * Fraction(hyper.space.dz) / (Fraction(max(hyper.m, 1.0)) * Fraction(lr))
+    bound = unscaled_bound(t, lr, hyper)
+    out = []
+    for (kind, edge, near, negative), ui, m2i in zip(recipes, u, m2):
+        if kind == "rule":
+            den = Fraction(math.sqrt(m2i) / math.sqrt(c2)) + Fraction(AdamOptimizer.EPS)
+            value = rule * Fraction(ui) * Fraction(near) * den
+        elif kind == "bound":
+            value = Fraction(ui) * Fraction(math.sqrt(m2i)) * bound * Fraction(near)
+        else:
+            value = Fraction(edge)
+        # Below 1e300, so that m1 / beta1 is finite.
+        value = float(min(value, Fraction(1e300)))
+        out.append(-value if negative else value)
+    return np.array(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=bound_cases())
+# A weight whose increment is 1.1 steps, so it moves whatever its draw, and
+# whose bound with m = 0.5 in place of max(m, 1) would leave it out.
+@example(case=(DstHyper(make_space(1, 1.0), 0.5), 0.5, 1000, np.full(16, 0.95),
+               np.full(16, 1e-3), [("rule", 0.0, 1.1, False)] * 16))
+# Weights that the candidate rule just admits at t = 1, where the bound is
+# 10 times looser than without the first moment's bias correction.
+@example(case=(DstHyper(make_space(1, 1.0), 3.0), 0.01, 1, np.full(16, 0.5),
+               np.full(16, 1e-3), [("rule", 0.0, 1.1, False)] * 16))
+def test_bound_selects_every_weight_that_can_move(case):
+    """One DstOptimizer step selects a superset of the weights that the full
+    increment can move, never a weight whose m1 is 0, and, inside the bound's
+    normal range, only weights within 2**-19 of its real value."""
+    hyper, lr, t, u, m2_before, recipes = case
+    n = u.size
+    p = GridParam(value=hyper.space.states()[np.arange(n) % hyper.space.num_states],
+                  space=hyper.space, rng=GivenDraws(u))
+    opt = DstOptimizer([p], m=hyper.m, lr=lr)
+    opt.t = t - 1
+    # A zero gradient takes the moments to beta1 * m1 and beta2 * m2.
+    m2 = m2_before * AdamOptimizer.BETA2
+    p.m1[...] = first_moments(recipes, u, m2, t, lr, hyper) / AdamOptimizer.BETA1
+    p.m2[...] = m2_before
+    p.grad = np.zeros(n)
+    # Edge moments overflow the increment, as they would in training.
+    with np.errstate(over="ignore", invalid="ignore"):
+        (idx,) = selections(opt.step)
+        moving = moving_weights(p.m1, p.m2, u, t, lr, hyper)
+    assert np.array_equal(p.m2, m2)
+    selected = np.zeros(n, dtype=bool)
+    selected[idx] = True
+    assert not (moving & ~selected).any()
+    assert not (selected & (p.m1 == 0)).any()
+    big_m, dz = max(hyper.m, 1.0), hyper.space.dz
+    c1, c2 = (Fraction(1.0 - b**t) for b in (AdamOptimizer.BETA1, AdamOptimizer.BETA2))
+    bound2 = c1**2 * Fraction(dz)**2 / (Fraction(big_m)**2 * Fraction(lr)**2 * c2)
+    if (lr + 1.0) * big_m <= 2.0**959 * dz and bound2 < 2**798:
+        for i in idx:
+            reach = abs(Fraction(p.m1[i])) * (1 + Fraction(1, 2**19)) + Fraction(1, 2**1074)
+            assert Fraction(u[i])**2 * Fraction(p.m2[i]) * bound2 <= reach**2
+
+
+@pytest.mark.parametrize("m", [0.5, 3.0])
+def test_optimizer_matches_full_increment_projected_by_the_array_law(m):
+    """Forty steps on three tensors: a third of the weights never get a
+    gradient, a third get ones near Adam's eps, where the bound is loosest,
+    and a third ordinary ones.  After every step the weights and moments must
+    be those that the full Adam increment and project_transition_array give,
+    no silent weight may be selected, and every selected weight must lie
+    within the bound."""
+    space, lr, seed = make_space(4, 0.7), 0.35, 13
+    g = np.random.default_rng(31)
+    shapes = [(20, 30), (50,), (4, 5, 6)]
+    kinds = [g.integers(0, 3, shape) for shape in shapes]
+    init = [space.states()[g.integers(0, space.num_states, shape)] for shape in shapes]
+    scales = [np.choose(k, [0.0, 1e-8, 1.0]) for k in kinds]
+    grads = [[s * g.normal(0, 1, s.shape) * 10.0 ** g.uniform(-1, 1, s.shape) for s in scales]
+             for _ in range(40)]
+    params = [GridParam(value=v.copy(), space=space, rng=param_stream(seed, i))
+              for i, v in enumerate(init)]
+    twins = [param_stream(seed, i) for i in range(len(params))]
+    opt = DstOptimizer(params, m=m, lr=lr)
+    silent = np.concatenate([(k == 0).ravel() for k in kinds])
+    reference = dense_dst_steps(init, grads, space, m=m, lr=lr, seed=seed,
+                                project=project_transition_array)
+    for t, step_grads in enumerate(grads, start=1):
+        for p, grad in zip(params, step_grads):
+            p.grad = grad
+        (idx,) = selections(opt.step)
+        u = np.concatenate([r.random(p.value.size) for r, p in zip(twins, params)])
+        m1, m2 = (np.concatenate([getattr(p, k).ravel() for p in params]) for k in ("m1", "m2"))
+        assert not silent[idx].any()
+        reach = u[idx] * np.sqrt(m2[idx]) * float(unscaled_bound(t, lr, opt._hyper))
+        assert np.all(reach <= np.abs(m1[idx]) * (1 + 1e-6))
+        values, ref_m1, ref_m2 = next(reference)
+        for p, v, a, b in zip(params, values, ref_m1, ref_m2):
+            assert np.array_equal(p.value, v)
+            assert np.array_equal(p.m1, a) and np.array_equal(p.m2, b)
+    assert sum(int(np.count_nonzero(p.value != v0)) for p, v0 in zip(params, init)) > 100

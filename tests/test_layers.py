@@ -675,6 +675,12 @@ class TestQuantAct:
         # Ternary thresholds may exceed the grid bound (sparsity dial).
         QuantAct(TERNARY, SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.5, r=3.5))
 
+    def test_multilevel_threshold_below_h_validated_at_build(self):
+        # 0.5 + 2**-511 rounds to 0.5, so only r < h catches r = h.
+        with pytest.raises(ValueError, match="threshold must satisfy 0 <= r < h"):
+            QuantAct(DiscreteSpace(n=6, h=0.5),
+                     SurrogateSpec(shape=PulseShape.TRIANGULAR, a=2.0**-511, r=0.5))
+
     @pytest.mark.parametrize("space,spec", [
         (DiscreteSpace(n=0, h=1.0), SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.5, r=0.0)),
         (TERNARY, RECT),

@@ -205,6 +205,41 @@ class TestSurrogates:
         assert surrogate_tri(0.0, TRI) == 0.0
         assert surrogate_tri(1.0, TRI) == 0.0
 
+    def test_tri_ramps_keep_their_bits_on_ordinary_inputs(self):
+        # Pulses at |x| = r = 0.3 and r + (h - r) / 2 = 0.65, each ramp
+        # computed as scale * distance / (a * a) and added in center order.
+        space, dz, a = make_space(2, 1.0), 0.5, 0.2
+        spec = SurrogateSpec(shape=PulseShape.TRIANGULAR, a=a, r=0.3)
+        x = np.array([0.0, 0.05, 0.1, 0.17, -0.25, 0.3, 0.41, -0.45, 0.5, 0.58, 0.65,
+                      -0.7, 0.85, 0.9, 2.0, np.nan])
+        expected = []
+        for v in np.abs(x).tolist():
+            total = 0.0
+            for c in (0.3, 0.3 + (1.0 - 0.3) / 2):
+                if c - a <= v < c:
+                    total += dz * (v - (c - a)) / (a * a)
+                elif c <= v <= c + a:
+                    total += -dz * (v - (c + a)) / (a * a)
+            expected.append(total)
+        assert surrogate_activation(x, space, spec).tobytes() == np.array(expected).tobytes()
+
+    def test_narrow_tri_pulse_on_a_wide_grid_raises_no_warning(self):
+        # RuntimeWarnings are errors in this suite.  The ramps of a pulse
+        # 2**-510 wide with a step of 2**31 overflow far from the pulse, so
+        # each is evaluated only inside it.
+        space = make_space(2, 2.0**32)
+        spec = SurrogateSpec(shape=PulseShape.TRIANGULAR, a=2.0**-511, r=2.0**-511)
+        x = np.array([0.0, 2.0**-512, -2.0**-512, 1.0, -3.0, 2.0**31, 2.0**32, 1e300, np.inf])
+        out = surrogate_activation(x, space, spec)
+        assert out[1] == out[2] == 2.0**541
+        assert out[0] == 0.0 and not out[3:].any()
+
+    def test_tri_pulse_width_whose_square_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match=r"tri pulse needs a < 2\*\*512"):
+            SurrogateSpec(shape=PulseShape.TRIANGULAR, a=2.0**512)
+        SurrogateSpec(shape=PulseShape.TRIANGULAR, a=np.nextafter(2.0**512, 0.0))
+        SurrogateSpec(shape=PulseShape.RECTANGULAR, a=2.0**512)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             surrogate_rect(0.0, TRI)
