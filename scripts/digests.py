@@ -18,14 +18,18 @@ Run it on two checkouts and diff the output.  It prints one sha256 per line:
   reuses them.  It hashes each batch's scores and zero fractions.
 
 The package and the workloads come from this checkout's ``src/`` and
-``perfbench/``.  Results can depend on the BLAS build and its thread count,
-so compare digests made on one machine.
+``perfbench/``.  Results can depend on the BLAS build and on the kernel
+family that it picks for the CPU (``conv_6_steps`` and ``blobs_model_gxnr``
+do), so compare digests made on one machine.  The BLAS name, version and
+kernel family go to standard error, so that standard output holds only the
+digests.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -113,10 +117,34 @@ def eval_digest(net: gxnor.Network, test: gxnor.Dataset) -> str:
     return h.hexdigest()
 
 
+def blas_stamp() -> str:
+    """The BLAS build NumPy reports and the kernel family OpenBLAS picked."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    core = None
+    try:  # the loaded library, found as perfbench/run.py finds it
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+        for path in sorted(paths):
+            for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                           "openblas_get_corename"):
+                fn = getattr(ctypes.CDLL(path), symbol, None)
+                if fn is not None:
+                    fn.restype = ctypes.c_char_p
+                    core = fn().decode()
+                    break
+    except OSError:
+        pass
+    return f"blas {blas.get('name')} {blas.get('version')} core {core}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     seed = parser.parse_args(argv).seed
+    print(blas_stamp(), file=sys.stderr)
     digests = blobs_digests(seed)
     digests["mlp_train_losses"] = mlp_digest(seed)
     digests.update(conv_digests(seed))

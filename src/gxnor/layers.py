@@ -18,6 +18,23 @@ in ``(c, h, w)`` feature order, so dense layers see ``(b, features)``.
 Every layer computes in float64, with one exception: a ``Conv2d`` whose
 forward product is exact in float32 (:func:`_exact_in_float32`) runs it in
 float32.  Every layer returns float64, and every backward pass is float64.
+
+A conv stage is a 4-D ``BatchNorm`` -> ``QuantAct`` pair and the
+``MaxPool2d`` after it, if there is one.  ``Network`` trains each stage one
+:func:`_channel_blocks` block at a time: it sets each stage layer's
+``channels`` to the block and calls its ``forward`` and ``backward`` once
+per block, so every channel meets the same operations in the same order as
+when each layer runs on the whole array.  In training, a stage's arrays
+exist at full size only where the stage needs them whole: the conv output
+that feeds it, ``BatchNorm``'s ``xhat`` (one buffer, written over by every
+step), the stage's output and the gradient that it returns; with no pool, a
+``QuantAct``'s cache too (pulse counts, or the input for tri pulses).  The
+batch-norm output, the quantized output, the slopes, the pool's routed
+gradient and ``BatchNorm``'s backward scratch exist one block at a time.  A
+pool needs the slopes only at its winning taps, one per window (any other
+tap's gradient is +0.0), so there ``QuantAct`` caches its pulses at those
+taps alone, next to the pool's choice of tap, one value per pool output;
+its backward runs on the pooled gradient before the pool routes it.
 """
 
 from __future__ import annotations
@@ -61,9 +78,15 @@ class Layer:
 
     A weighted layer with ``input_grad`` False still sets its weight gradient
     in ``backward`` but returns None in place of the input gradient.
+
+    ``channels`` is the part of a 4-D activation's channels that a training
+    ``forward`` or ``backward`` call is given: all of them, or one block of a
+    conv stage (see the module docstring).  A stage's blocks come in channel
+    order, forward and backward alike.
     """
 
     input_grad = True
+    channels = slice(None)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
@@ -76,6 +99,16 @@ class Layer:
 
     def real_params(self) -> list[RealParam]:
         return []
+
+    def _store(self, value) -> None:
+        """Cache ``value`` for the backward call of the same ``channels``; a
+        call on all channels or on a stage's first block starts afresh."""
+        if not self.channels.start:
+            self._per_block = {}
+        self._per_block[self.channels.start] = value
+
+    def _stored(self):
+        return self._per_block[self.channels.start]
 
 
 # Elementwise work on a 4-D activation goes through in blocks of whole
@@ -92,7 +125,7 @@ def _channel_blocks(x: np.ndarray) -> list[slice]:
     if x.ndim != 4:
         return [slice(None)]
     per = max(1, CHANNEL_BLOCK_BYTES // max(1, x[0].nbytes))
-    return [slice(c, c + per) for c in range(0, len(x), per)]
+    return [slice(c, min(c + per, len(x))) for c in range(0, len(x), per)]
 
 
 def init_grid_weights(shape, space: DiscreteSpace, rng: np.random.Generator) -> np.ndarray:
@@ -302,8 +335,7 @@ class MaxPool2d(Layer):
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window
-        self._argmax = None
-        self._in_shape = None
+        self._corners = None
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k = self.window
@@ -329,22 +361,37 @@ class MaxPool2d(Layer):
                 argmax += wins * argmax.dtype.type(t)
             np.maximum(out, tap, out=out)
         if training:
-            self._argmax = argmax
-            self._in_shape = x.shape
+            self._store((argmax, x.shape))
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def _winners(self) -> tuple[np.ndarray, tuple]:
+        """The shape of this block's training input, and the flat index into
+        that input of each window's winning tap, in the output's shape."""
+        argmax, shape = self._stored()
         k = self.window
-        c, h, w, b = self._in_shape
+        c, h, w, b = shape
         oh, ow = h // k, w // k
-        # Flat index into dx of each window's winning tap: the tap's offset
-        # within its window plus the window's corner.
+        # Each window's corner, kept for the largest block seen of this
+        # shape: a stage's blocks differ only in their channel count.
+        corners = self._corners
+        if corners is None or len(corners) < c or corners.shape[1:] != (oh, ow, b):
+            corners = (np.arange(c)[:, None, None] * (h * w * b)
+                       + np.arange(oh)[:, None] * (k * w * b) + np.arange(ow) * (k * b))
+            self._corners = corners = corners[..., None] + np.arange(b)
+        # The tap's offset within its window plus the window's corner.
         t = np.arange(k * k)
-        index = ((t // k) * (w * b) + (t % k) * b)[self._argmax]
-        index += (np.arange(oh)[:, None, None] * (k * w * b)
-                  + np.arange(ow)[:, None] * (k * b) + np.arange(b))
-        index += np.arange(c)[:, None, None, None] * (h * w * b)
-        dx = np.zeros(self._in_shape)
+        index = ((t // k) * (w * b) + (t % k) * b).take(argmax)
+        index += corners[:c]
+        return index, shape
+
+    def winners(self, x: np.ndarray) -> np.ndarray:
+        """The values of ``x``, shaped as this block's training input, at
+        each window's winning tap: one per output element."""
+        return x.reshape(-1)[self._winners()[0]]
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        index, shape = self._winners()
+        dx = np.zeros(shape)
         dx.reshape(-1)[index.reshape(-1)] = grad.reshape(-1)
         return dx
 
@@ -375,8 +422,11 @@ class BatchNorm(Layer):
 
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
-    inference mode.  Training goes through :func:`_channel_blocks`; each
-    channel's values are computed as without blocks.
+    inference mode.  In training, a call on one block of a conv stage's
+    channels computes each channel's values as a call on all of them does.
+    A stage's first block allocates the step's per-channel arrays and writes
+    ``xhat`` over the last step's buffer; its last block updates the running
+    statistics.
     """
 
     EPS, MOMENTUM = 1e-5, 0.1
@@ -408,49 +458,62 @@ class BatchNorm(Layer):
             out *= g
             out += b
             return out
-        n = x.size // self.num_features
+        c = self.channels
+        n = x.size // g[c].size
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")
-        mean, var = np.empty(self.num_features), np.empty(self.num_features)
-        inv_std = np.empty(self.num_features).reshape(shape)
-        xhat, out = np.empty_like(x), np.empty_like(x)
-        for s in _channel_blocks(x):
-            # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
-            # by their own reductions without the wrappers, so bit-identical.
-            # d becomes xhat in place, and the d * d buffer becomes the output.
-            mean[s] = np.add.reduce(x[s], axis=axes) / n
-            d = np.subtract(x[s], mean[s].reshape(shape), out=xhat[s])
-            var[s] = np.add.reduce(np.multiply(d, d, out=out[s]), axis=axes) / n
-            inv_std[s] = 1.0 / np.sqrt(var[s].reshape(shape) + self.EPS)
-            d *= inv_std[s]
-            np.multiply(g[s], d, out=out[s])
-            out[s] += b[s]
-        self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
-        self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
-        self._cache = (xhat, inv_std, axes, shape, n)
+        if not c.start:
+            mean, var = np.empty(self.num_features), np.empty(self.num_features)
+            inv_std = np.empty(self.num_features).reshape(shape)
+            if c.start is None:
+                xhat = np.empty_like(x)
+            else:
+                full = (self.num_features, *x.shape[1:])
+                xhat = self._cache[0] if self._cache is not None else None
+                if xhat is None or xhat.shape != full:
+                    xhat = np.empty(full)
+            self._cache = (xhat, mean, var, inv_std, n)
+        xhat, mean, var, inv_std, _ = self._cache
+        out = np.empty_like(x)
+        # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
+        # by their own reductions without the wrappers, so bit-identical.
+        # d becomes xhat in place, and the d * d buffer becomes the output.
+        mean[c] = np.add.reduce(x, axis=axes) / n
+        d = np.subtract(x, mean[c].reshape(shape), out=xhat[c])
+        var[c] = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
+        inv_std[c] = 1.0 / np.sqrt(var[c].reshape(shape) + self.EPS)
+        d *= inv_std[c]
+        np.multiply(g[c], d, out=out)
+        out += b[c]
+        if c.stop is None or c.stop == self.num_features:
+            self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
+            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, axes, shape, n = self._cache
-        gamma = self.gamma.value.reshape(shape)
-        self.gamma.grad = np.empty(self.num_features)
-        self.beta.grad = np.empty(self.num_features)
+        c = self.channels
+        xhat, _, _, inv_std, n = self._cache
+        xhat, inv_std = xhat[c], inv_std[c]
+        axes, shape = self._axes_and_shape(grad)
+        gamma = self.gamma.value.reshape(shape)[c]
+        if not c.start:
+            self.gamma.grad = np.empty(self.num_features)
+            self.beta.grad = np.empty(self.num_features)
         dx = np.empty_like(grad)
-        for s in _channel_blocks(grad):
-            scratch = grad[s] * xhat[s]
-            self.gamma.grad[s] = np.add.reduce(scratch, axis=axes)
-            self.beta.grad[s] = np.add.reduce(grad[s], axis=axes)
-            dxhat = np.multiply(grad[s], gamma[s], out=dx[s])
-            # Standard batch-norm gradient with mean/var dependence folded in:
-            # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-            # evaluated in place with the same operations in the same order.
-            dxhat_sum = np.add.reduce(dxhat, axis=axes).reshape(shape)
-            np.multiply(dxhat, xhat[s], out=scratch)
-            dxhat_xhat_sum = np.add.reduce(scratch, axis=axes).reshape(shape)
-            dxhat *= n
-            dxhat -= dxhat_sum
-            dxhat -= np.multiply(xhat[s], dxhat_xhat_sum, out=scratch)
-            dxhat *= inv_std[s] / n
+        scratch = grad * xhat
+        self.gamma.grad[c] = np.add.reduce(scratch, axis=axes)
+        self.beta.grad[c] = np.add.reduce(grad, axis=axes)
+        dxhat = np.multiply(grad, gamma, out=dx)
+        # Standard batch-norm gradient with mean/var dependence folded in:
+        # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated in place with the same operations in the same order.
+        dxhat_sum = np.add.reduce(dxhat, axis=axes).reshape(shape)
+        np.multiply(dxhat, xhat, out=scratch)
+        dxhat_xhat_sum = np.add.reduce(scratch, axis=axes).reshape(shape)
+        dxhat *= n
+        dxhat -= dxhat_sum
+        dxhat -= np.multiply(xhat, dxhat_xhat_sum, out=scratch)
+        dxhat *= inv_std / n
         return dx
 
     def real_params(self) -> list[RealParam]:
@@ -464,6 +527,9 @@ class QuantAct(Layer):
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)`` set in ``__init__``; tri pulses cache the input
     and rebuild the surrogate.  Forward goes through :func:`_channel_blocks`.
+    :meth:`keep` caches the pulses of some inputs alone: a pooled conv stage
+    keeps those at the pool's winning taps, and then backward takes the
+    pooled gradient.
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
@@ -486,37 +552,34 @@ class QuantAct(Layer):
         if rect and not isfinite(self._height):
             raise ValueError(f"a rect pulse's height dz / (2a) overflows at a={spec.a!r}, "
                              f"h={space.h!r}, n2={space.n}")
-        self._cache = None
 
     def _activation(self, x: np.ndarray) -> np.ndarray:
         return quantize_activation(x, self.space, self.spec.r)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        counting = training and self._height is not None
         blocks = _channel_blocks(x)
         if len(blocks) == 1:
             # The quantizer's own output: no second full-size array.
             out = self._activation(x)
-            count = rect_pulse_count(x, self.space, self.spec) if counting else None
         else:
             out = np.empty(x.shape)
-            count = None
             for s in blocks:
                 out[s] = self._activation(x[s])
-                if counting:
-                    part = rect_pulse_count(x[s], self.space, self.spec)
-                    if count is None:
-                        count = np.empty(x.shape, part.dtype)
-                    count[s] = part
         if training:
-            self._cache = count if counting else x
+            self.keep(x)
         return out
 
+    def keep(self, x: np.ndarray) -> None:
+        """Cache for backward what the slopes at the inputs ``x`` need."""
+        rect = self._height is not None
+        self._store(rect_pulse_count(x, self.space, self.spec) if rect else x)
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        pulses = self._stored()
         if self._height is not None:
-            slope = self._cache * self._height
+            slope = pulses * self._height
         else:
-            slope = surrogate_activation(self._cache, self.space, self.spec)
+            slope = surrogate_activation(pulses, self.space, self.spec)
         slope *= grad
         return slope
 

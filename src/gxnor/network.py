@@ -55,6 +55,7 @@ from .layers import (
     Layer,
     MaxPool2d,
     QuantAct,
+    _channel_blocks,
     svm_hinge_loss,
 )
 from .spaces import DiscreteSpace, PulseShape, SurrogateSpec, make_space
@@ -82,7 +83,9 @@ class Network:
     Image batches arrive as (b, c, h, w).  A net whose first layer is 4-D (a
     conv net) is ``batch_last``: its layers, ``Flatten`` included, take them
     as (c, h, w, b).  Backward stops at the first weighted layer, which skips
-    its input gradient.
+    its input gradient.  Training runs each conv stage, a 4-D ``BatchNorm``
+    -> ``QuantAct`` pair and the ``MaxPool2d`` after it if there is one, one
+    channel block at a time (see :mod:`gxnor.layers`).
     """
 
     def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
@@ -100,6 +103,9 @@ class Network:
         self._pairs = [i for i, (a, b) in enumerate(zip(layers, layers[1:]))
                        if isinstance(a, BatchNorm) and isinstance(b, QuantAct)]
         self._fold_slot: tuple = (None, None)
+        # Where each pair's stage ends: after the pair, or after its pool.
+        self._stage_end = {i: i + 3 if i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2d)
+                           else i + 2 for i in self._pairs}
 
     def enter(self, images: np.ndarray) -> np.ndarray:
         """An image batch in the layout the first layer takes."""
@@ -107,14 +113,61 @@ class Network:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = self.enter(x)
-        for layer in self.layers:
-            x = layer.forward(x, training)
+        i = 0
+        while i < len(self.layers):
+            if training and x.ndim == 4 and i in self._stage_end:
+                x, i = self._stage_forward(i, x), self._stage_end[i]
+            else:
+                x, i = self.layers[i].forward(x, training), i + 1
         return x
 
     def backward(self, dscores: np.ndarray) -> None:
-        grad = dscores
-        for layer in reversed(self.layers[self._first_weighted:]):
-            grad = layer.backward(grad)
+        starts = {end: i for i, end in self._stage_end.items()}
+        grad, i = dscores, len(self.layers)
+        while i > self._first_weighted:
+            if grad.ndim == 4 and i in starts:
+                grad, i = self._stage_backward(starts[i], grad), starts[i]
+            else:
+                grad, i = self.layers[i - 1].backward(grad), i - 1
+
+    def _stage_blocks(self, start: int, x: np.ndarray):
+        """The channel blocks of ``x``, the stage's input or input gradient,
+        with ``channels`` set to each block on the stage's layers while the
+        caller's loop body runs for it; reset to all channels at the end."""
+        stage = self.layers[start:self._stage_end[start]]
+        try:
+            for s in _channel_blocks(x):
+                for layer in stage:
+                    layer.channels = s
+                yield s
+        finally:
+            for layer in stage:
+                layer.channels = slice(None)
+
+    def _stage_forward(self, start: int, y: np.ndarray) -> np.ndarray:
+        bn, qa, *pool = self.layers[start:self._stage_end[start]]
+        c, h, w, b = y.shape
+        out = np.empty((c, *pool[0].out_hw(h, w), b) if pool else y.shape)
+        for s in self._stage_blocks(start, y):
+            z = bn.forward(y[s], True)
+            if pool:
+                # Every tap but a window's winner gets a +0.0 gradient, so
+                # QuantAct caches its pulses at the winners alone.
+                out[s] = pool[0].forward(qa.forward(z, False), True)
+                qa.keep(pool[0].winners(z))
+            else:
+                out[s] = qa.forward(z, True)
+        return out
+
+    def _stage_backward(self, start: int, grad: np.ndarray) -> np.ndarray:
+        bn, qa, *pool = self.layers[start:self._stage_end[start]]
+        k = pool[0].window if pool else 1
+        c, h, w, b = grad.shape
+        dx = np.empty((c, h * k, w * k, b))
+        for s in self._stage_blocks(start, dx):
+            g = qa.backward(grad[s])
+            dx[s] = bn.backward(pool[0].backward(g) if pool else g)
+        return dx
 
     def grid_params(self):
         return [p for layer in self.layers for p in layer.grid_params()]

@@ -1,6 +1,8 @@
 """Network assembly, training dynamics, and packed-inference equivalence."""
 
+import copy
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,19 @@ import gxnor.network
 from gxnor.data import Dataset, synthetic_blobs
 from gxnor.dst import AdamOptimizer, DstOptimizer
 from gxnor.kernel import pack_ternary_matrix
-from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct
+from gxnor.layers import (
+    BatchNorm,
+    Conv2d,
+    Dense,
+    Flatten,
+    MaxPool2d,
+    QuantAct,
+    _channel_blocks,
+    svm_hinge_loss,
+)
 from gxnor.network import (
     EVAL_BATCH,
+    Network,
     build_network,
     check_packed_scores,
     evaluate,
@@ -20,7 +32,7 @@ from gxnor.network import (
     packed_evaluate,
     train_step,
 )
-from gxnor.spaces import quantize_activation
+from gxnor.spaces import PulseShape, SurrogateSpec, make_space, quantize_activation
 
 
 def small_blobs(seed, n=300, classes=2, dim=2, separation=10.0):
@@ -333,6 +345,146 @@ def test_backward_stops_at_the_first_weighted_layer(architecture, monkeypatch):
     assert weighted[0].weight.grad.shape == weighted[0].weight.value.shape
     # No layer before the first weighted one runs backward.
     assert set(returned) == {id(layer) for layer in net.layers[first:]}
+
+
+def unfused_train_step(net, images, labels, grid_opt, real_opt):
+    """``train_step`` with every layer run on its whole input, one after
+    another: no conv stage runs block by block."""
+    x = net.enter(images)
+    for layer in net.layers:
+        x = layer.forward(x, True)
+    lg = svm_hinge_loss(x, labels)
+    grad = lg.dscores
+    for layer in reversed(net.layers[net._first_weighted:]):
+        grad = layer.backward(grad)
+    grid_opt.step()
+    real_opt.step()
+    return lg.loss
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestConvStageBlocks:
+    """A 4-D BatchNorm -> QuantAct stage and its pool, trained one channel
+    block at a time, against the three layers run whole, one after another."""
+
+    # (channels, channel-block size): one block, one channel per block, and
+    # conv2's 64 channels in 6 blocks of 10 and a ragged block of 4.
+    LAYOUTS = {"one": (3, None), "several": (3, 1), "ragged": (64, 10)}
+
+    def stage_net(self, pulse, n2, channels, window):
+        spec = SurrogateSpec(shape=PulseShape(pulse), a=0.25, r=0.25)
+        layers = [Conv2d(1, channels, 1, make_space(1), seed=0, layer_index=0),
+                  BatchNorm(channels), QuantAct(make_space(n2), spec)]
+        if window:
+            layers.append(MaxPool2d(window))
+        return Network(layers, classes=2, input_shape=(1, 6, 6))
+
+    @staticmethod
+    def activation(rng, shape, palette):
+        # Values from a small palette, so windows tie before and after the
+        # quantizer; the first channel is constant, so its xhat is 0.
+        y = rng.choice(np.array(palette), size=shape)
+        noise = rng.random(shape) < 0.3
+        y[noise] = rng.normal(size=np.count_nonzero(noise))
+        y[0] = -0.0
+        return y
+
+    @pytest.mark.parametrize("window", [None, 2, 3])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("n2", [0, 1, 2])
+    @pytest.mark.parametrize("pulse", ["rect", "tri"])
+    def test_blocked_stage_equals_its_layers_run_whole(self, pulse, n2, layout, window,
+                                                       monkeypatch):
+        channels, per = self.LAYOUTS[layout]
+        rng = np.random.default_rng([n2, channels, window or 1, len(pulse)])
+        net = self.stage_net(pulse, n2, channels, window)
+        bn = net.layers[1]
+        bn.gamma.value = rng.choice([-1.5, -0.5, 0.5, 2.0], size=channels)
+        bn.beta.value = rng.choice([-0.0, 0.0, 0.25, -0.75], size=channels)
+        ref = copy.deepcopy(net)
+        shape = (channels, 6, 6, 5)
+        if per is not None:
+            monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES",
+                                per * np.empty(shape[1:]).nbytes)
+        blocks = _channel_blocks(np.empty(shape))
+        expect = {"one": 1, "several": 3, "ragged": 7}[layout]
+        assert len(blocks) == expect and blocks[-1].stop == channels
+        pooled = (channels, 6 // (window or 1), 6 // (window or 1), 5)
+        for step in range(2):  # the second step writes over the first's xhat
+            y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0])
+            g = rng.choice(np.array([-0.0, 0.0, 1.0, -2.5, 0.5]), size=pooled)
+            out = net._stage_forward(1, y)
+            dx = net._stage_backward(1, g)
+            rbn, rqa, *rpool = ref.layers[1:]
+            expect_out = rqa.forward(rbn.forward(y, True), True)
+            routed = g
+            if rpool:
+                expect_out = rpool[0].forward(expect_out, True)
+                routed = rpool[0].backward(g)
+            expect_dx = rbn.backward(rqa.backward(routed))
+            for a, b in [(out, expect_out), (dx, expect_dx),
+                         (bn.gamma.grad, rbn.gamma.grad), (bn.beta.grad, rbn.beta.grad),
+                         (bn.running_mean, rbn.running_mean),
+                         (bn.running_var, rbn.running_var)]:
+                assert_same_bits(a, b)
+            assert all(layer.channels == slice(None) for layer in net.layers)
+
+    @pytest.mark.parametrize("architecture, image_shape", [
+        ("conv-mp2-2c3-4fc", (1, 6, 6)),       # opens with a pool
+        ("conv-8c1-16fc", (1, 4, 4)),          # a 4-D stage with no pool
+        ("conv-3c3-mp3-2c2-mp2-6fc", (2, 11, 11)),
+    ])
+    @pytest.mark.parametrize("pulse, n2", [("rect", 1), ("tri", 2)])
+    def test_train_steps_equal_the_unfused_walk(self, architecture, image_shape, pulse, n2):
+        rng = np.random.default_rng(31)
+        images = rng.normal(size=(3, 16, *image_shape))
+        labels = rng.integers(0, 4, size=(3, 16))
+        runs = []
+        for step in (train_step, unfused_train_step):
+            net = build_network(architecture, input_shape=image_shape, classes=4, seed=7,
+                                n2=n2, surrogate=pulse, r=0.25, a=0.25)
+            grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+            losses = [step(net, x, t, grid, real) for x, t in zip(images, labels)]
+            state = [np.asarray(losses)]
+            for p in net.grid_params() + net.real_params():
+                state += [p.value, p.m1, p.m2]
+            state += [a for l in net.layers if isinstance(l, BatchNorm)
+                      for a in (l.running_mean, l.running_var)]
+            runs.append(state)
+        for a, b in zip(*runs):
+            assert_same_bits(a, b)
+
+    def test_a_conv_step_peaks_under_two_conv1_activations_above_what_it_holds(self):
+        """Above what a conv net holds between steps, a training step peaks
+        at about 1.7 times conv1's output: that output, Conv2d's im2col
+        columns and one block's scratch in forward; the stage's input
+        gradient and the columns in backward.  Run whole, the conv1 stage
+        held 3: the conv output, a fresh xhat and the batch-norm output.
+        tracemalloc counts NumPy's buffers."""
+        rng = np.random.default_rng(41)
+        images = rng.uniform(0.0, 1.0, size=(50, 1, 28, 28))
+        labels = rng.integers(0, 10, size=50)
+        net = build_network("conv-16c5-mp2-10fc", seed=1)
+        grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+        conv1 = 16 * 24 * 24 * 50 * 8
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            train_step(net, images, labels, grid, real)  # every cache exists
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            train_step(net, images, labels, grid, real)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - held < 2 * conv1
 
 
 class TestEvaluate:
