@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import PackedTernary, pack_bit_planes
-from .layers import BatchNorm, QuantAct, _channel_blocks
+from .layers import BatchNorm, QuantAct
 
 __all__ = ["Fold", "compile_pair", "pair_state"]
 
@@ -92,22 +92,18 @@ class Fold:
         down = [np.less(x, t[s].reshape(shape)) for t in self.lower]
         return up, down
 
-    def levels(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """The pair's output on ``x`` (real or integer) and its zero count,
-        a block of whole channels at a time as in ``QuantAct.forward``."""
+    def levels(self, x: np.ndarray, s: slice = slice(None)) -> tuple[np.ndarray, int]:
+        """The pair's output on ``x`` (real or integer), which holds channels
+        ``s``, and its zero count."""
         out = np.empty(x.shape)
-        zeros = 0
-        for s in _channel_blocks(x):
-            up, down = self._compares(x[s], s)
-            code = sum(c.view(np.int8) for c in up) - sum(c.view(np.int8) for c in down)
-            if self.binary:
-                code = 2 * code - 1
-            zeros += 0 if self.binary else code.size - np.count_nonzero(code)
-            block = out[s]
-            np.copyto(block, code, casting="unsafe")
-            if self.step != 1:
-                block *= self.step
-        return out, zeros
+        up, down = self._compares(x, s)
+        code = sum(c.view(np.int8) for c in up) - sum(c.view(np.int8) for c in down)
+        if self.binary:
+            code = 2 * code - 1
+        np.copyto(out, code, casting="unsafe")
+        if self.step != 1:
+            out *= self.step
+        return out, 0 if self.binary else code.size - np.count_nonzero(code)
 
     def planes(self, x: np.ndarray) -> tuple[PackedTernary, int]:
         """A unit ternary pair's output on (batch, features) ``x`` as bit

@@ -20,21 +20,22 @@ forward product is exact in float32 (:func:`_exact_in_float32`) runs it in
 float32.  Every layer returns float64, and every backward pass is float64.
 
 A conv stage is a 4-D ``BatchNorm`` -> ``QuantAct`` pair and the
-``MaxPool2d`` after it, if there is one.  ``Network`` trains each stage one
-:func:`_channel_blocks` block at a time: it sets each stage layer's
-``channels`` to the block and calls its ``forward`` and ``backward`` once
-per block, so every channel meets the same operations in the same order as
-when each layer runs on the whole array.  In training, a stage's arrays
-exist at full size only where the stage needs them whole: the conv output
-that feeds it, ``BatchNorm``'s ``xhat`` (one buffer, written over by every
-step), the stage's output and the gradient that it returns; with no pool, a
-``QuantAct``'s cache too (pulse counts, or the input for tri pulses).  The
-batch-norm output, the quantized output, the slopes, the pool's routed
-gradient and ``BatchNorm``'s backward scratch exist one block at a time.  A
-pool needs the slopes only at its winning taps, one per window (any other
-tap's gradient is +0.0), so there ``QuantAct`` caches its pulses at those
-taps alone, next to the pool's choice of tap, one value per pool output;
-its backward runs on the pooled gradient before the pool routes it.
+``MaxPool2d`` after it, if there is one.  ``Network`` runs each stage, in
+training and in inference, one :func:`_channel_blocks` block at a time: it
+sets each stage layer's ``channels`` to the block and calls its ``forward``
+(and its training ``backward``) once per block, so every channel meets the
+same operations in the same order as when each layer runs on the whole array.
+A stage's arrays exist at full size only where the stage needs them whole:
+the conv output that feeds it and the stage's output; in training also
+``BatchNorm``'s ``xhat`` (one buffer, written over by every step), the
+gradient that the stage returns and, with no pool, a ``QuantAct``'s cache
+(pulse counts, or the input for tri pulses).  The batch-norm output, the
+quantized output (or a compiled fold's, :mod:`gxnor.fold`), the slopes, the
+pool's routed gradient and ``BatchNorm``'s backward scratch exist one block
+at a time.  A pool needs the slopes only at its winning taps, one per window
+(any other tap's gradient is +0.0), so there ``QuantAct`` caches its pulses
+at those taps alone, next to the pool's choice of tap, one value per pool
+output; its backward runs on the pooled gradient before the pool routes it.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Layer:
     A weighted layer with ``input_grad`` False still sets its weight gradient
     in ``backward`` but returns None in place of the input gradient.
 
-    ``channels`` is the part of a 4-D activation's channels that a training
+    ``channels`` is the part of a 4-D activation's channels that a
     ``forward`` or ``backward`` call is given: all of them, or one block of a
     conv stage (see the module docstring).  A stage's blocks come in channel
     order, forward and backward alike.
@@ -120,10 +121,7 @@ CHANNEL_BLOCK_BYTES = 1 << 19
 
 
 def _channel_blocks(x: np.ndarray) -> list[slice]:
-    """Slices of axis 0 of a 4-D (c, h, w, b) array, whole channels of about
-    ``CHANNEL_BLOCK_BYTES`` each; any other array is one block."""
-    if x.ndim != 4:
-        return [slice(None)]
+    """Slices of whole channels of (c, h, w, b) ``x``, ``CHANNEL_BLOCK_BYTES`` or so each."""
     per = max(1, CHANNEL_BLOCK_BYTES // max(1, x[0].nbytes))
     return [slice(c, min(c + per, len(x))) for c in range(0, len(x), per)]
 
@@ -422,11 +420,11 @@ class BatchNorm(Layer):
 
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
-    inference mode.  In training, a call on one block of a conv stage's
-    channels computes each channel's values as a call on all of them does.
-    A stage's first block allocates the step's per-channel arrays and writes
-    ``xhat`` over the last step's buffer; its last block updates the running
-    statistics.
+    inference mode.  A call on one block of a conv stage's channels, in
+    either mode, computes each channel's values as a call on all of them
+    does.  In training a stage's first block allocates the step's
+    per-channel arrays and writes ``xhat`` over the last step's buffer; its
+    last block updates the running statistics.
     """
 
     EPS, MOMENTUM = 1e-5, 0.1
@@ -450,15 +448,15 @@ class BatchNorm(Layer):
         axes, shape = self._axes_and_shape(x)
         g = self.gamma.value.reshape(shape)
         b = self.beta.value.reshape(shape)
+        c = self.channels
         if not training:
             # (x - mean) / sqrt(var + eps) * gamma + beta, in place on one new
             # array; x itself is never written.
-            out = x - self.running_mean.reshape(shape)
-            out /= np.sqrt(self.running_var.reshape(shape) + self.EPS)
-            out *= g
-            out += b
+            out = x - self.running_mean.reshape(shape)[c]
+            out /= np.sqrt(self.running_var.reshape(shape)[c] + self.EPS)
+            out *= g[c]
+            out += b[c]
             return out
-        c = self.channels
         n = x.size // g[c].size
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")
@@ -526,10 +524,10 @@ class QuantAct(Layer):
     For rect pulses, training forward caches each element's pulse count
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)`` set in ``__init__``; tri pulses cache the input
-    and rebuild the surrogate.  Forward goes through :func:`_channel_blocks`.
-    :meth:`keep` caches the pulses of some inputs alone: a pooled conv stage
-    keeps those at the pool's winning taps, and then backward takes the
-    pooled gradient.
+    and rebuild the surrogate.  Forward quantizes what it is given in one
+    call; a conv stage gives it one channel block at a time.  :meth:`keep`
+    caches the pulses of some inputs alone: a pooled conv stage keeps those
+    at the pool's winning taps, and then backward takes the pooled gradient.
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
@@ -557,14 +555,7 @@ class QuantAct(Layer):
         return quantize_activation(x, self.space, self.spec.r)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        blocks = _channel_blocks(x)
-        if len(blocks) == 1:
-            # The quantizer's own output: no second full-size array.
-            out = self._activation(x)
-        else:
-            out = np.empty(x.shape)
-            for s in blocks:
-                out[s] = self._activation(x[s])
+        out = self._activation(x)
         if training:
             self.keep(x)
         return out

@@ -18,8 +18,9 @@ grid transition per weight tensor and one Adam step for the batch-norm
 parameters, with the learning rate decaying by a fixed factor per epoch.
 
 Inference has one layer walk and one loop over batches.  The walk runs every
-layer in inference mode and counts the zeros of each quantized activation.
-Each ``BatchNorm`` -> ``QuantAct`` pair runs as exact per-channel compares
+layer in inference mode, each conv stage one channel block at a time as in
+training, and counts the zeros of each quantized activation.  Each
+``BatchNorm`` -> ``QuantAct`` pair runs as exact per-channel compares
 (:mod:`gxnor.fold`) once its parameters have been seen twice: a batch whose
 batch-norm state and quantizer differ from the last batch's runs the two
 layers, and the next batch that finds the same state compiles the
@@ -45,7 +46,7 @@ import numpy as np
 from .config import MetricsRecord, RunConfig
 from .data import Dataset, batches
 from .dst import AdamOptimizer, DstOptimizer, lr_schedule
-from .fold import compile_pair, pair_state
+from .fold import Fold, compile_pair, pair_state
 from .kernel import OpReport, PackedTernary, pack_ternary_matrix, packed_dense_forward
 from .layers import (
     BatchNorm,
@@ -83,9 +84,9 @@ class Network:
     Image batches arrive as (b, c, h, w).  A net whose first layer is 4-D (a
     conv net) is ``batch_last``: its layers, ``Flatten`` included, take them
     as (c, h, w, b).  Backward stops at the first weighted layer, which skips
-    its input gradient.  Training runs each conv stage, a 4-D ``BatchNorm``
-    -> ``QuantAct`` pair and the ``MaxPool2d`` after it if there is one, one
-    channel block at a time (see :mod:`gxnor.layers`).
+    its input gradient.  Training and inference run each conv stage, a 4-D
+    ``BatchNorm`` -> ``QuantAct`` pair and the ``MaxPool2d`` after it if
+    there is one, one channel block at a time (see :mod:`gxnor.layers`).
     """
 
     def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
@@ -116,7 +117,7 @@ class Network:
         i = 0
         while i < len(self.layers):
             if training and x.ndim == 4 and i in self._stage_end:
-                x, i = self._stage_forward(i, x), self._stage_end[i]
+                x, i = self._stage_forward(i, x, True)[0], self._stage_end[i]
             else:
                 x, i = self.layers[i].forward(x, training), i + 1
         return x
@@ -144,20 +145,28 @@ class Network:
             for layer in stage:
                 layer.channels = slice(None)
 
-    def _stage_forward(self, start: int, y: np.ndarray) -> np.ndarray:
+    def _stage_forward(self, start: int, y: np.ndarray, training: bool,
+                       fold: Fold | None = None) -> tuple[np.ndarray, int]:
+        """The stage's output on ``y`` and, in inference, its quantized
+        output's zero count; there the pair runs as ``fold`` if one is given."""
         bn, qa, *pool = self.layers[start:self._stage_end[start]]
         c, h, w, b = y.shape
         out = np.empty((c, *pool[0].out_hw(h, w), b) if pool else y.shape)
+        zeros = 0
         for s in self._stage_blocks(start, y):
-            z = bn.forward(y[s], True)
-            if pool:
+            if fold is not None:
+                q, n = fold.levels(y[s], s)
+            else:
+                z = bn.forward(y[s], training)
+                q = qa.forward(z, training and not pool)
+                n = 0 if training else q.size - np.count_nonzero(q)
+            zeros += n
+            out[s] = pool[0].forward(q, training) if pool else q
+            if training and pool:
                 # Every tap but a window's winner gets a +0.0 gradient, so
                 # QuantAct caches its pulses at the winners alone.
-                out[s] = pool[0].forward(qa.forward(z, False), True)
                 qa.keep(pool[0].winners(z))
-            else:
-                out[s] = qa.forward(z, True)
-        return out
+        return out, zeros
 
     def _stage_backward(self, start: int, grad: np.ndarray) -> np.ndarray:
         bn, qa, *pool = self.layers[start:self._stage_end[start]]
@@ -293,12 +302,12 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
           tally: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """One batch's class scores and each quantized layer's zero fraction.
 
-    Every layer runs in inference mode, and each pair with a compiled fold
-    runs as its compares.  Each dense layer with packed weights in
-    ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes, taken
-    straight from a fold's compares where one feeds it, and adds its open
-    gates, bitcounts and lanes to ``tally``; its integer scores go on as
-    they are.
+    Every layer runs in inference mode, a conv stage by channel blocks and a
+    pair with a compiled fold as its compares.  Each dense layer with packed
+    weights in ``packed_w`` (``id(layer)`` to packed weights) runs on bit
+    planes, taken straight from a fold's compares where one feeds it, and adds
+    its open gates, bitcounts and lanes to ``tally``; its integer scores go on
+    as they are.
     """
     zeros = []
     folds = net._folds()
@@ -307,12 +316,16 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
     i = 0
     while i < len(layers):
         layer = layers[i]
-        if folds.get(i) is not None:
+        fold = folds.get(i)
+        if fold is not None or (i in net._stage_end and x.ndim == 4):
             size = x.size
-            feeds_packed = packed_w and i + 2 < len(layers) and id(layers[i + 2]) in packed_w
-            x, zero = (folds[i].planes if feeds_packed else folds[i].levels)(x)
+            if x.ndim == 4:
+                x, zero = net._stage_forward(i, x, False, fold)
+            else:
+                feeds_packed = packed_w and i + 2 < len(layers) and id(layers[i + 2]) in packed_w
+                x, zero = (fold.planes if feeds_packed else fold.levels)(x)
             zeros.append(zero / size)
-            i += 2
+            i = net._stage_end[i]
             continue
         if packed_w and id(layer) in packed_w:
             planes = x if isinstance(x, PackedTernary) else pack_ternary_matrix(x)

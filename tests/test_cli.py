@@ -221,9 +221,10 @@ class TestEval:
 
 class TestConvNet:
     def test_train_then_float_eval_of_a_conv_net(self, tmp_path, capsys):
-        # 1x1 kernels are the only unpooled convs that fit blobs' 1x16 images.
+        # 1x1 kernels and pools are the only ones that fit blobs' 1x16 images.
         # A second conv takes ternary input, which it multiplies in float32.
         for architecture, gemm_dtypes in [("conv-8c1-16fc", [np.float64]),
+                                          ("conv-8c1-mp1-16fc", [np.float64]),
                                           ("conv-8c1-8c1-16fc", [np.float64, np.float32])]:
             cfg = tmp_path / f"{architecture}.cfg"
             cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture=architecture).to_text())

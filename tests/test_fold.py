@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gxnor.fold import compile_pair
 from gxnor.kernel import unpack_ternary
-from gxnor.layers import BatchNorm, QuantAct
+from gxnor.layers import BatchNorm, Conv2d, QuantAct, _channel_blocks
+from gxnor.network import Network, _walk
 from gxnor.spaces import SurrogateSpec, make_space
 
 SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
@@ -89,16 +90,25 @@ def test_fold_equals_unfused_pair(pair, seed):
 
 
 def test_channel_blocks_of_a_large_conv_activation():
-    # Each channel here is larger than a channel block, so every block holds
-    # one channel and takes its own slice of the thresholds.
+    # Each channel here is larger than a channel block, so the inference walk
+    # runs the stage one channel per block, each with its own slice of the
+    # thresholds.  The 1x1 conv passes its three input channels through.
+    conv = Conv2d(3, 3, 1, make_space(1), seed=0, layer_index=0)
+    conv.weight.value = np.eye(3).reshape(3, 3, 1, 1)
     bn = BatchNorm(3)
     bn.gamma.value = np.array([1.5, -0.5, 0.75])
     bn.beta.value = np.array([0.1, -0.2, 0.7])
     bn.running_mean = np.array([0.3, -1.0, 2.0])
     bn.running_var = np.array([2.0, 0.5, 1.0])
     qa = QuantAct(make_space(1), SurrogateSpec(r=0.5))
+    net = Network([conv, bn, qa], classes=2, input_shape=(3, 1, 1))
     x = np.random.default_rng(5).normal(0.0, 2.0, (3, 1, 1, 70_000))
-    assert_same(*compile_pair(bn, qa).levels(x), unfused(bn, qa, x))
+    ref = unfused(bn, qa, x)
+    assert len(_channel_blocks(x)) == 3
+    for sight in ("unfused", "compiled", "reused"):
+        out, (fraction,) = _walk(net, x.transpose(3, 0, 1, 2))
+        assert_same(out, round(fraction * ref.size), ref)
+        assert (net._fold_slot[1] is None) == (sight == "unfused")
 
 
 @pytest.mark.parametrize("field, value", [

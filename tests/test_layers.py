@@ -432,25 +432,6 @@ def test_eval_forward_leaves_backward_cache_alone(make, shape):
     assert np.array_equal(layer.backward(g), expect)
 
 
-@pytest.mark.parametrize("make", [lambda: BatchNorm(3), lambda: QuantAct(TERNARY, RECT)],
-                         ids=["BatchNorm", "QuantAct"])
-def test_channel_blocks_change_no_value(make, monkeypatch):
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(3, 4, 5, 6))
-    g = rng.normal(size=x.shape)
-
-    def run():
-        layer = make()
-        out = layer.forward(x, training=True)
-        return [out, layer.backward(g)] + [p.grad for p in layer.real_params()]
-
-    whole = run()
-    monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES", x[0].nbytes)
-    assert gxnor.layers._channel_blocks(x) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-    for a, b in zip(run(), whole):
-        assert np.array_equal(a, b)
-
-
 class TestFlatten:
     def test_round_trip(self):
         layer = Flatten()

@@ -10,6 +10,7 @@ import pytest
 import gxnor.network
 from gxnor.data import Dataset, synthetic_blobs
 from gxnor.dst import AdamOptimizer, DstOptimizer
+from gxnor.fold import compile_pair
 from gxnor.kernel import pack_ternary_matrix
 from gxnor.layers import (
     BatchNorm,
@@ -394,13 +395,23 @@ class TestConvStageBlocks:
         y[0] = -0.0
         return y
 
+    def use_layout(self, layout, shape, monkeypatch):
+        """Set the channel block size of ``layout`` for (c, h, w, b) ``shape``."""
+        channels, per = self.LAYOUTS[layout]
+        if per is not None:
+            monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES",
+                                per * np.empty(shape[1:]).nbytes)
+        blocks = _channel_blocks(np.empty(shape))
+        expect = {"one": 1, "several": 3, "ragged": 7}[layout]
+        assert len(blocks) == expect and blocks[-1].stop == channels
+
     @pytest.mark.parametrize("window", [None, 2, 3])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     @pytest.mark.parametrize("n2", [0, 1, 2])
     @pytest.mark.parametrize("pulse", ["rect", "tri"])
     def test_blocked_stage_equals_its_layers_run_whole(self, pulse, n2, layout, window,
                                                        monkeypatch):
-        channels, per = self.LAYOUTS[layout]
+        channels, _ = self.LAYOUTS[layout]
         rng = np.random.default_rng([n2, channels, window or 1, len(pulse)])
         net = self.stage_net(pulse, n2, channels, window)
         bn = net.layers[1]
@@ -408,17 +419,13 @@ class TestConvStageBlocks:
         bn.beta.value = rng.choice([-0.0, 0.0, 0.25, -0.75], size=channels)
         ref = copy.deepcopy(net)
         shape = (channels, 6, 6, 5)
-        if per is not None:
-            monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES",
-                                per * np.empty(shape[1:]).nbytes)
-        blocks = _channel_blocks(np.empty(shape))
-        expect = {"one": 1, "several": 3, "ragged": 7}[layout]
-        assert len(blocks) == expect and blocks[-1].stop == channels
+        self.use_layout(layout, shape, monkeypatch)
         pooled = (channels, 6 // (window or 1), 6 // (window or 1), 5)
         for step in range(2):  # the second step writes over the first's xhat
             y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0])
             g = rng.choice(np.array([-0.0, 0.0, 1.0, -2.5, 0.5]), size=pooled)
-            out = net._stage_forward(1, y)
+            out, zeros = net._stage_forward(1, y, True)
+            assert zeros == 0
             dx = net._stage_backward(1, g)
             rbn, rqa, *rpool = ref.layers[1:]
             expect_out = rqa.forward(rbn.forward(y, True), True)
@@ -433,6 +440,35 @@ class TestConvStageBlocks:
                          (bn.running_var, rbn.running_var)]:
                 assert_same_bits(a, b)
             assert all(layer.channels == slice(None) for layer in net.layers)
+
+    @pytest.mark.parametrize("window", [None, 2, 3])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("n2", [0, 1, 2])
+    @pytest.mark.parametrize("folded", [False, True], ids=["first-sight", "fold"])
+    def test_blocked_inference_stage_equals_its_layers_run_whole(self, folded, n2, layout,
+                                                                 window, monkeypatch):
+        """The stage as ``_walk`` runs it, unfused or as a compiled fold that
+        takes each block's slice of the thresholds, against the unfused
+        layers run whole: pooled output and zero count."""
+        channels, _ = self.LAYOUTS[layout]
+        rng = np.random.default_rng([n2, channels, window or 1, folded])
+        net = self.stage_net("rect", n2, channels, window)
+        bn, qa, *pool = net.layers[1:]
+        bn.gamma.value = rng.choice([-1.5, -0.5, 0.5, 2.0], size=channels)
+        bn.beta.value = rng.choice([-0.0, 0.0, 0.25, -0.75], size=channels)
+        bn.running_mean = rng.choice([-0.25, 0.0, 0.5], size=channels)
+        bn.running_var = rng.choice([0.25, 1.0, 4.0], size=channels)
+        fold = compile_pair(bn, qa) if folded else None
+        assert folded == (fold is not None)
+        shape = (channels, 6, 6, 5)
+        self.use_layout(layout, shape, monkeypatch)
+        y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0,
+                                         np.nan, np.inf, -np.inf])
+        out, zeros = net._stage_forward(1, y, False, fold)
+        assert all(layer.channels == slice(None) for layer in net.layers)
+        q = qa.forward(bn.forward(y, False), False)
+        assert_same_bits(out, pool[0].forward(q, False) if pool else q)
+        assert zeros == np.count_nonzero(q == 0)
 
     @pytest.mark.parametrize("architecture, image_shape", [
         ("conv-mp2-2c3-4fc", (1, 6, 6)),       # opens with a pool
@@ -485,6 +521,34 @@ class TestConvStageBlocks:
             if started:
                 tracemalloc.stop()
         assert peak - held < 2 * conv1
+
+    def test_a_conv_eval_peaks_under_one_and_a_half_conv1_activations_above_what_it_holds(self):
+        """Above what it holds, one evaluate batch peaks at about 1.35 times
+        conv1's output: that output, the pooled stage output and one block's
+        scratch.  Run whole, the conv1 stage held 2: the conv output and
+        the batch-norm, quantizer or fold output.  The first evaluate runs
+        the pairs unfused, the second compiles their folds and the third
+        reuses them."""
+        rng = np.random.default_rng(43)
+        data = Dataset(rng.uniform(0.0, 1.0, size=(100, 1, 28, 28)),
+                       rng.integers(0, 10, size=100), 10)
+        net = build_network("conv-32c5-mp2-10fc", seed=1)
+        conv1 = 32 * 24 * 24 * 100 * 8
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            peaks = []
+            for sight in range(3):
+                held, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                evaluate(net, data)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert net._fold_slot[1] is not None
+        assert max(peaks) < 1.6 * conv1
 
 
 class TestEvaluate:
