@@ -183,6 +183,9 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
         net = network_from_config(config, header["input_shape"], header["classes"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not fit its config: {exc}") from exc
+    fractions, quant = header["activation_zero_fractions"], len(net.quant_layers())
+    if fractions is not None and len(fractions) != quant:
+        raise CheckpointError(f"{path}: {len(fractions)} zero fractions for {quant} quantizers")
     table = [desc for desc, _ in _layout(net)]
     _check_table(header["arrays"], table, payload, path)
     arrays = {desc["name"]: np.frombuffer(payload, desc["dtype"], prod(desc["shape"]),

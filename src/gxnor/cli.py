@@ -216,8 +216,7 @@ def cmd_costmodel(args) -> int:
         return 0
     print(COST_COLUMNS)
     net, _, header = load_checkpoint(args.checkpoint)
-    fractions = header.get("activation_zero_fractions") or []
-    quant_seen = 0
+    fractions = iter(header["activation_zero_fractions"] or [])
     a_zero = 0.0  # first weighted layer sees continuous, never-zero input
     for i, layer in enumerate(net.layers):
         for p in layer.grid_params():
@@ -225,9 +224,8 @@ def cmd_costmodel(args) -> int:
             w_zero = np.count_nonzero(p.value == 0) / p.value.size
             for row in _cost_rows(f"layer{i}", fan_in, w_zero, a_zero):
                 print(row)
-        if isinstance(layer, QuantAct) and quant_seen < len(fractions):
-            a_zero = fractions[quant_seen]
-            quant_seen += 1
+        if isinstance(layer, QuantAct):
+            a_zero = next(fractions, 0.0)
     return 0
 
 

@@ -27,7 +27,7 @@ sets each stage layer's ``channels`` to the block and calls its ``forward``
 same operations in the same order as when each layer runs on the whole array.
 A stage's arrays exist at full size only where the stage needs them whole:
 the conv output that feeds it and the stage's output; in training also
-``BatchNorm``'s ``xhat`` (one buffer, written over by every step), the
+``BatchNorm``'s ``xhat`` (kept between steps, as for any input), the
 gradient that the stage returns and, with no pool, a ``QuantAct``'s cache
 (pulse counts, or the input for tri pulses).  The batch-norm output, the
 quantized output (or a compiled fold's, :mod:`gxnor.fold`), the slopes, the
@@ -82,8 +82,10 @@ class Layer:
 
     ``channels`` is the part of a 4-D activation's channels that a
     ``forward`` or ``backward`` call is given: all of them, or one block of a
-    conv stage (see the module docstring).  A stage's blocks come in channel
-    order, forward and backward alike.
+    conv stage (see the module docstring).  :meth:`_store` keeps one value
+    per block and starts afresh at channel 0, so a stage's blocks come in
+    channel order; ``BatchNorm`` keeps its training state per channel, and a
+    call writes only its own channels of it.
     """
 
     input_grad = True
@@ -420,11 +422,14 @@ class BatchNorm(Layer):
 
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
-    inference mode.  A call on one block of a conv stage's channels, in
-    either mode, computes each channel's values as a call on all of them
-    does.  In training a stage's first block allocates the step's
-    per-channel arrays and writes ``xhat`` over the last step's buffer; its
-    last block updates the running statistics.
+    inference mode.  A call, in either mode, computes the values of the
+    channels that ``channels`` names as a call on all of them does.  Between
+    steps the layer keeps ``xhat`` (one buffer for every channel,
+    reallocated only when its shape changes), the inverse standard
+    deviations, the count of values per channel, the running statistics and
+    the gamma/beta gradients (allocated by the first backward, None until
+    then); a training call writes only its own channels of each, the running
+    statistics in place.
     """
 
     EPS, MOMENTUM = 1e-5, 0.1
@@ -435,7 +440,7 @@ class BatchNorm(Layer):
         self.beta = RealParam(value=np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._cache = None
+        self._xhat = self._inv_std = self._n = None
 
     def _axes_and_shape(self, x: np.ndarray):
         if x.ndim == 2:
@@ -446,55 +451,46 @@ class BatchNorm(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         axes, shape = self._axes_and_shape(x)
-        g = self.gamma.value.reshape(shape)
-        b = self.beta.value.reshape(shape)
         c = self.channels
+        g = self.gamma.value.reshape(shape)[c]
+        b = self.beta.value.reshape(shape)[c]
         if not training:
             # (x - mean) / sqrt(var + eps) * gamma + beta, in place on one new
             # array; x itself is never written.
             out = x - self.running_mean.reshape(shape)[c]
             out /= np.sqrt(self.running_var.reshape(shape)[c] + self.EPS)
-            out *= g[c]
-            out += b[c]
+            out *= g
+            out += b
             return out
-        n = x.size // g[c].size
+        self._n = n = x.size // g.size
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")
-        if not c.start:
-            mean, var = np.empty(self.num_features), np.empty(self.num_features)
-            inv_std = np.empty(self.num_features).reshape(shape)
-            if c.start is None:
-                xhat = np.empty_like(x)
-            else:
-                full = (self.num_features, *x.shape[1:])
-                xhat = self._cache[0] if self._cache is not None else None
-                if xhat is None or xhat.shape != full:
-                    xhat = np.empty(full)
-            self._cache = (xhat, mean, var, inv_std, n)
-        xhat, mean, var, inv_std, _ = self._cache
+        full = x.shape if x.ndim == 2 else (self.num_features, *x.shape[1:])
+        if self._xhat is None or self._xhat.shape != full:
+            self._xhat = np.empty(full)
+            self._inv_std = np.empty(self.num_features).reshape(shape)
+        xhat, inv_std = self._xhat[c], self._inv_std[c]
         out = np.empty_like(x)
         # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
         # by their own reductions without the wrappers, so bit-identical.
         # d becomes xhat in place, and the d * d buffer becomes the output.
-        mean[c] = np.add.reduce(x, axis=axes) / n
-        d = np.subtract(x, mean[c].reshape(shape), out=xhat[c])
-        var[c] = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
-        inv_std[c] = 1.0 / np.sqrt(var[c].reshape(shape) + self.EPS)
-        d *= inv_std[c]
-        np.multiply(g[c], d, out=out)
-        out += b[c]
-        if c.stop is None or c.stop == self.num_features:
-            self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
-            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
+        mean = np.add.reduce(x, axis=axes) / n
+        d = np.subtract(x, mean.reshape(shape), out=xhat)
+        var = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
+        inv_std[...] = 1.0 / np.sqrt(var.reshape(shape) + self.EPS)
+        d *= inv_std
+        np.multiply(g, d, out=out)
+        out += b
+        self.running_mean[c] = (1 - self.MOMENTUM) * self.running_mean[c] + self.MOMENTUM * mean
+        self.running_var[c] = (1 - self.MOMENTUM) * self.running_var[c] + self.MOMENTUM * var
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        c = self.channels
-        xhat, _, _, inv_std, n = self._cache
-        xhat, inv_std = xhat[c], inv_std[c]
+        c, n = self.channels, self._n
+        xhat, inv_std = self._xhat[c], self._inv_std[c]
         axes, shape = self._axes_and_shape(grad)
         gamma = self.gamma.value.reshape(shape)[c]
-        if not c.start:
+        if self.gamma.grad is None:
             self.gamma.grad = np.empty(self.num_features)
             self.beta.grad = np.empty(self.num_features)
         dx = np.empty_like(grad)

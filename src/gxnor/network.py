@@ -99,14 +99,13 @@ class Network:
                 layer.batch_last = self.batch_last
         self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
         layers[self._first_weighted].input_grad = False
-        # Index of each BatchNorm followed by a QuantAct, and the one fold
-        # slot: the pairs' state last seen and the folds compiled from it.
-        self._pairs = [i for i, (a, b) in enumerate(zip(layers, layers[1:]))
-                       if isinstance(a, BatchNorm) and isinstance(b, QuantAct)]
+        # The one fold slot: the pairs' state last seen and the folds compiled from it.
         self._fold_slot: tuple = (None, None)
-        # Where each pair's stage ends: after the pair, or after its pool.
+        # By the index of each BatchNorm followed by a QuantAct, where the
+        # pair's stage ends: after the pair, or after its pool.
         self._stage_end = {i: i + 3 if i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2d)
-                           else i + 2 for i in self._pairs}
+                           else i + 2 for i, (a, b) in enumerate(zip(layers, layers[1:]))
+                           if isinstance(a, BatchNorm) and isinstance(b, QuantAct)}
 
     def enter(self, images: np.ndarray) -> np.ndarray:
         """An image batch in the layout the first layer takes."""
@@ -194,13 +193,13 @@ class Network:
         """Compiled folds by the index of their ``BatchNorm`` for the pairs'
         current state, by the second-sight rule; empty on first sight.  A pair
         whose state admits no fold maps to None."""
-        state = tuple(pair_state(self.layers[i], self.layers[i + 1]) for i in self._pairs)
+        state = tuple(pair_state(self.layers[i], self.layers[i + 1]) for i in self._stage_end)
         seen, folds = self._fold_slot
         if state != seen:
             self._fold_slot = (state, None)
             return {}
         if folds is None:
-            folds = {i: compile_pair(self.layers[i], self.layers[i + 1]) for i in self._pairs}
+            folds = {i: compile_pair(self.layers[i], self.layers[i + 1]) for i in self._stage_end}
             self._fold_slot = (state, folds)
         return folds
 
@@ -223,6 +222,8 @@ def build_network(
     classes: int = 10,
 ) -> Network:
     """Construct a network from its architecture id; weights start on the grid."""
+    if len(input_shape) != 3 or not all(type(d) is int and d > 0 for d in input_shape):
+        raise ValueError(f"input shape must be three positive ints, got {input_shape!r}")
     w_space = make_space(n1, h)
     a_space = make_space(n2, h)
     spec = SurrogateSpec(shape=PulseShape(surrogate), a=a, r=r)

@@ -96,8 +96,8 @@ class TestRoundTrip:
             assert np.array_equal(a.running_var, b.running_var)
 
     def test_zero_fractions_stored_in_header(self, tmp_path):
-        cfg = blobs_config()
-        net, _ = trained(cfg)
+        cfg = blobs_config(architecture="mlp-16-32-16-4")
+        net = build_from(cfg)
         path = str(tmp_path / "model.gxnr")
         save_checkpoint(path, net, cfg, activation_zero_fractions=[0.25, 0.5])
         _, _, header = load_checkpoint(path)
@@ -111,7 +111,8 @@ class TestRoundTrip:
         cfg = blobs_config(**overrides)
         net, _ = trained(cfg)
         first, second = str(tmp_path / "first.gxnr"), str(tmp_path / "second.gxnr")
-        save_checkpoint(first, net, cfg, activation_zero_fractions=[0.25, 0.5])
+        fractions = [0.25, 0.5][:len(net.quant_layers())]  # one per quantizer
+        save_checkpoint(first, net, cfg, activation_zero_fractions=fractions)
         restored, cfg_back, header = load_checkpoint(first)
         save_checkpoint(second, restored, cfg_back, header["activation_zero_fractions"])
         assert open(second, "rb").read() == open(first, "rb").read()
@@ -245,6 +246,12 @@ MALFORMED = (
         pytest.param(_set("dtype", "<f8", array=0), id="dtype-not-of-encoding"),
         pytest.param(_set("input_shape", "1x1x16"), id="mistyped-input_shape"),
         pytest.param(_set("input_shape", ["1", 1, 16]), id="mistyped-input_shape-entry"),
+        pytest.param(_set("input_shape", [16]), id="input_shape-of-one-entry"),
+        pytest.param(_set("input_shape", [-1, -1, 16]), id="negative-input_shape-entry"),
+        pytest.param(_set("input_shape", [1, 1, 16.0]), id="float-input_shape-entry"),
+        pytest.param(_set("input_shape", [True, 1, 16]), id="boolean-input_shape-entry"),
+        pytest.param(_set("activation_zero_fractions", [0.25, 0.5, 0.75]),
+                     id="zero-fractions-not-of-network"),
         pytest.param(_set("arrays", {}), id="mistyped-arrays"),
         pytest.param(_set("classes", "4"), id="mistyped-classes"),
         pytest.param(_set("offset", "0", array=0), id="mistyped-offset"),
@@ -330,13 +337,14 @@ def test_truncated_file_is_checkpoint_error(blobs_gxnr, data):
 
 # A retype puts a value of another JSON type in place of the stored one.  An
 # int where a float is stored is still a number, and the zero fractions may
-# be null or a list, so none of these counts.
+# be null, so neither counts.  An empty list of fractions does: the blobs net
+# has one quantizer.
 RETYPES = [None, True, 7, 0.5, "x", [], {}]
 
 
 def _same_kind(old, new, key):
     return (type(new) is type(old) or (type(old) is float and type(new) is int)
-            or (key == "activation_zero_fractions" and new in (None, [])))
+            or (key == "activation_zero_fractions" and new is None))
 
 
 @FUZZ

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gxnor.layers
+from gxnor.dst import AdamOptimizer
 from gxnor.layers import BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, QuantAct, svm_hinge_loss
+from gxnor.network import Network
 from gxnor.spaces import (
     DiscreteSpace,
     PulseShape,
@@ -538,6 +540,70 @@ class TestBatchNorm:
             return float(np.sum(g * batch_first(layer.forward(batch_last(x), training=True))))
 
         assert np.allclose(dx, central_diff(loss, x), atol=1e-5)
+
+    @staticmethod
+    def fresh_copy(layer):
+        """A new layer with ``layer``'s parameters and running statistics alone."""
+        ref = BatchNorm(layer.num_features)
+        ref.gamma.value, ref.beta.value = layer.gamma.value.copy(), layer.beta.value.copy()
+        ref.running_mean, ref.running_var = layer.running_mean.copy(), layer.running_var.copy()
+        return ref
+
+    @staticmethod
+    def assert_same_bits(pairs):
+        for a, b in pairs:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_state_kept_across_batch_sizes_equals_a_fresh_layer(self):
+        """The buffers that outlive a step (xhat, the inverse deviations, the
+        count and the gamma/beta gradients) serve batches of 6, 3 and 6 rows
+        as a fresh copy of the layer's state does, bit for bit."""
+        rng = np.random.default_rng(23)
+        layer = BatchNorm(3)
+        for step, rows in enumerate([6, 3, 6]):
+            x, g = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
+            ref = self.fresh_copy(layer)
+            out = layer.forward(x, training=True)
+            if step == 0:
+                assert layer.gamma.grad is None and layer.beta.grad is None
+                with pytest.raises(TypeError):  # no gradient to step on yet
+                    AdamOptimizer(layer.real_params()).step()
+            dx = layer.backward(g)
+            self.assert_same_bits([
+                (out, ref.forward(x, training=True)), (dx, ref.backward(g)),
+                (layer.gamma.grad, ref.gamma.grad), (layer.beta.grad, ref.beta.grad),
+                (layer.running_mean, ref.running_mean), (layer.running_var, ref.running_var)])
+            layer.gamma.value = layer.gamma.value - layer.gamma.grad  # the state moves
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_blocked_stage_across_batch_sizes_equals_fresh_layers_run_whole(
+            self, window, monkeypatch):
+        """A conv stage trained one channel per block at batch 5, 3 and 5,
+        against fresh copies of its layers' state run whole at every step."""
+        rng = np.random.default_rng(29)
+        spec = SurrogateSpec(shape=PulseShape.RECTANGULAR, a=0.25, r=0.25)
+        pool = [MaxPool2d(window)] if window else []
+        net = Network([Conv2d(1, 3, 1, TERNARY, seed=0, layer_index=0), BatchNorm(3),
+                       QuantAct(TERNARY, spec), *pool], classes=2, input_shape=(1, 4, 4))
+        monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES", 1)  # one channel a block
+        bn = net.layers[1]
+        for step, batch in enumerate([5, 3, 5]):
+            y = rng.normal(size=(3, 4, 4, batch))
+            g = rng.normal(size=(3, 2, 2, batch) if window else y.shape)
+            rbn, rqa, rpool = self.fresh_copy(bn), QuantAct(TERNARY, spec), MaxPool2d(window or 1)
+            out, _ = net._stage_forward(1, y, True)
+            if step == 0:
+                assert bn.gamma.grad is None and bn.beta.grad is None
+            dx = net._stage_backward(1, g)
+            expect_out = rqa.forward(rbn.forward(y, True), True)
+            routed = g
+            if window:
+                expect_out, routed = rpool.forward(expect_out, True), rpool.backward(g)
+            self.assert_same_bits([
+                (out, expect_out), (dx, rbn.backward(rqa.backward(routed))),
+                (bn.gamma.grad, rbn.gamma.grad), (bn.beta.grad, rbn.beta.grad),
+                (bn.running_mean, rbn.running_mean), (bn.running_var, rbn.running_var)])
+            bn.gamma.value = bn.gamma.value - bn.gamma.grad  # the state moves
 
     def test_rejects_tiny_batch_and_bad_rank(self):
         with pytest.raises(ValueError):

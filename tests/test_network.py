@@ -441,6 +441,20 @@ class TestConvStageBlocks:
                 assert_same_bits(a, b)
             assert all(layer.channels == slice(None) for layer in net.layers)
 
+    def test_a_failed_stage_leaves_every_layer_on_all_channels(self):
+        """A stage's BatchNorm that raises inside the block loop leaves
+        ``channels`` reset and the running statistics as they were."""
+        net = build_network("conv-2c1-mp1-4fc", input_shape=(1, 1, 1), classes=2)
+        norms = [l for l in net.layers if isinstance(l, BatchNorm)]
+        before = [(l.running_mean.copy(), l.running_var.copy()) for l in norms]
+        grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+        with pytest.raises(ValueError, match="needs at least 2 values per feature"):
+            train_step(net, np.zeros((1, 1, 1, 1)), np.zeros(1, dtype=int), grid, real)
+        assert all(layer.channels == slice(None) for layer in net.layers)
+        for layer, (mean, var) in zip(norms, before):
+            assert_same_bits(layer.running_mean, mean)
+            assert_same_bits(layer.running_var, var)
+
     @pytest.mark.parametrize("window", [None, 2, 3])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     @pytest.mark.parametrize("n2", [0, 1, 2])
