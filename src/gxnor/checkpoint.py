@@ -69,6 +69,18 @@ def _check_keys(obj, keys: dict, path: str, what: str) -> None:
             raise CheckpointError(f"{path}: {what} has a mistyped {key!r}")
 
 
+def _check_fractions(fractions, quant: int, path: str) -> None:
+    """Refuse activation zero fractions that are neither None nor one number
+    in [0, 1] per quantized layer; save and load hold files to the same rule."""
+    if fractions is None:
+        return
+    # type(), not isinstance: True would pass for 1 and a NumPy float for a float.
+    if not all(type(z) in (int, float) and 0 <= z <= 1 for z in fractions):
+        raise CheckpointError(f"{path}: activation zero fractions must be numbers in [0, 1]")
+    if len(fractions) != quant:
+        raise CheckpointError(f"{path}: {len(fractions)} zero fractions for {quant} quantizers")
+
+
 def _layout(net: Network) -> list[tuple[dict, bytes]]:
     """Every stored array's descriptor and little-endian bytes, in file order."""
     table: list[tuple[dict, bytes]] = []
@@ -109,6 +121,7 @@ def save_checkpoint(
     config: RunConfig,
     activation_zero_fractions: list[float] | None = None,
 ) -> None:
+    _check_fractions(activation_zero_fractions, len(net.quant_layers()), path)
     table = _layout(net)
     header = {
         "format_version": FORMAT_VERSION,
@@ -145,9 +158,6 @@ def _read_header(blob: bytes, path: str) -> tuple[dict, bytes]:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     _check_keys(header, HEADER_KEYS, path, "header")
     _check_keys(header["config"], CONFIG_KEYS, path, "embedded config")
-    fractions = header["activation_zero_fractions"] or []
-    if not all(type(z) in (int, float) and 0 <= z <= 1 for z in fractions):
-        raise CheckpointError(f"{path}: activation zero fractions must be numbers in [0, 1]")
     return header, blob[lead + header_len:]
 
 
@@ -183,9 +193,7 @@ def load_checkpoint(path: str) -> tuple[Network, RunConfig, dict]:
         net = network_from_config(config, header["input_shape"], header["classes"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not fit its config: {exc}") from exc
-    fractions, quant = header["activation_zero_fractions"], len(net.quant_layers())
-    if fractions is not None and len(fractions) != quant:
-        raise CheckpointError(f"{path}: {len(fractions)} zero fractions for {quant} quantizers")
+    _check_fractions(header["activation_zero_fractions"], len(net.quant_layers()), path)
     table = [desc for desc, _ in _layout(net)]
     _check_table(header["arrays"], table, payload, path)
     arrays = {desc["name"]: np.frombuffer(payload, desc["dtype"], prod(desc["shape"]),

@@ -26,10 +26,16 @@ sets each stage layer's ``channels`` to the block and calls its ``forward``
 (and its training ``backward``) once per block, so every channel meets the
 same operations in the same order as when each layer runs on the whole array.
 A stage's arrays exist at full size only where the stage needs them whole:
-the conv output that feeds it and the stage's output; in training also
-``BatchNorm``'s ``xhat`` (kept between steps, as for any input), the
-gradient that the stage returns and, with no pool, a ``QuantAct``'s cache
-(pulse counts, or the input for tri pulses).  The batch-norm output, the
+the conv output that feeds it and the stage's output; in training also,
+with no pool, a ``QuantAct``'s cache (pulse counts, or the input for tri
+pulses).  Training ``BatchNorm`` runs in place, as In-Place Activated
+BatchNorm does (Rota Bulò, Porzi & Kontschieder 2018): forward turns the
+conv output into ``xhat`` and backward writes the input gradient over it,
+so one full-size array is the conv output, then ``xhat``, then the gradient
+that the stage returns, and nothing of it outlives the backward pass.  A
+training ``BatchNorm`` therefore writes its input; ``Network`` feeds it only
+a fresh ``Dense`` or ``Conv2d`` output, which nothing else reads, and an
+inference call never writes its input.  The batch-norm output, the
 quantized output (or a compiled fold's, :mod:`gxnor.fold`), the slopes, the
 pool's routed gradient and ``BatchNorm``'s backward scratch exist one block
 at a time.  A pool needs the slopes only at its winning taps, one per window
@@ -85,7 +91,9 @@ class Layer:
     conv stage (see the module docstring).  :meth:`_store` keeps one value
     per block and starts afresh at channel 0, so a stage's blocks come in
     channel order; ``BatchNorm`` keeps its training state per channel, and a
-    call writes only its own channels of it.
+    call writes only its own channels of it.  A training ``BatchNorm``
+    stores the block it was given, which then holds ``xhat``, and its
+    backward takes it out of the store again.
     """
 
     input_grad = True
@@ -423,13 +431,16 @@ class BatchNorm(Layer):
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
     inference mode.  A call, in either mode, computes the values of the
-    channels that ``channels`` names as a call on all of them does.  Between
-    steps the layer keeps ``xhat`` (one buffer for every channel,
-    reallocated only when its shape changes), the inverse standard
-    deviations, the count of values per channel, the running statistics and
-    the gamma/beta gradients (allocated by the first backward, None until
-    then); a training call writes only its own channels of each, the running
-    statistics in place.
+    channels that ``channels`` names as a call on all of them does.
+
+    Training runs in place: forward leaves ``xhat`` in the float64 array it
+    was given and keeps that array, and backward writes the input gradient
+    over it, returns it and lets go of it.  Inference never writes its
+    input.  Between steps the layer keeps the inverse standard deviations,
+    the count of values per channel, the running statistics and the
+    gamma/beta gradients (allocated by the first backward, None until then),
+    but no ``xhat``; a training call writes only its own channels of each,
+    the running statistics in place.
     """
 
     EPS, MOMENTUM = 1e-5, 0.1
@@ -440,7 +451,7 @@ class BatchNorm(Layer):
         self.beta = RealParam(value=np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._xhat = self._inv_std = self._n = None
+        self._inv_std, self._n = np.empty(num_features), None
 
     def _axes_and_shape(self, x: np.ndarray):
         if x.ndim == 2:
@@ -465,20 +476,17 @@ class BatchNorm(Layer):
         self._n = n = x.size // g.size
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")
-        full = x.shape if x.ndim == 2 else (self.num_features, *x.shape[1:])
-        if self._xhat is None or self._xhat.shape != full:
-            self._xhat = np.empty(full)
-            self._inv_std = np.empty(self.num_features).reshape(shape)
-        xhat, inv_std = self._xhat[c], self._inv_std[c]
+        inv_std = self._inv_std.reshape(shape)[c]
         out = np.empty_like(x)
         # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
         # by their own reductions without the wrappers, so bit-identical.
-        # d becomes xhat in place, and the d * d buffer becomes the output.
+        # d becomes xhat in place of x, and the d * d buffer becomes the output.
         mean = np.add.reduce(x, axis=axes) / n
-        d = np.subtract(x, mean.reshape(shape), out=xhat)
+        d = np.subtract(x, mean.reshape(shape), out=x)
         var = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
         inv_std[...] = 1.0 / np.sqrt(var.reshape(shape) + self.EPS)
         d *= inv_std
+        self._store(d)
         np.multiply(g, d, out=out)
         out += b
         self.running_mean[c] = (1 - self.MOMENTUM) * self.running_mean[c] + self.MOMENTUM * mean
@@ -487,27 +495,26 @@ class BatchNorm(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         c, n = self.channels, self._n
-        xhat, inv_std = self._xhat[c], self._inv_std[c]
         axes, shape = self._axes_and_shape(grad)
+        xhat, inv_std = self._per_block.pop(c.start), self._inv_std.reshape(shape)[c]
         gamma = self.gamma.value.reshape(shape)[c]
         if self.gamma.grad is None:
             self.gamma.grad = np.empty(self.num_features)
             self.beta.grad = np.empty(self.num_features)
-        dx = np.empty_like(grad)
         scratch = grad * xhat
         self.gamma.grad[c] = np.add.reduce(scratch, axis=axes)
         self.beta.grad[c] = np.add.reduce(grad, axis=axes)
-        dxhat = np.multiply(grad, gamma, out=dx)
+        dxhat = np.multiply(grad, gamma, out=scratch)
         # Standard batch-norm gradient with mean/var dependence folded in:
         # inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        # evaluated in place with the same operations in the same order.
+        # evaluated in place with the same operations in the same order; the
+        # last subtraction writes over xhat, which becomes the input gradient.
         dxhat_sum = np.add.reduce(dxhat, axis=axes).reshape(shape)
-        np.multiply(dxhat, xhat, out=scratch)
-        dxhat_xhat_sum = np.add.reduce(scratch, axis=axes).reshape(shape)
+        dxhat_xhat_sum = np.add.reduce(dxhat * xhat, axis=axes).reshape(shape)
         dxhat *= n
         dxhat -= dxhat_sum
-        dxhat -= np.multiply(xhat, dxhat_xhat_sum, out=scratch)
-        dxhat *= inv_std / n
+        dx = np.subtract(dxhat, np.multiply(xhat, dxhat_xhat_sum, out=xhat), out=xhat)
+        dx *= inv_std / n
         return dx
 
     def real_params(self) -> list[RealParam]:

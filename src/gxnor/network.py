@@ -94,9 +94,14 @@ class Network:
         self.classes = classes
         self.input_shape = tuple(input_shape)
         self.batch_last = isinstance(layers[0], (Conv2d, MaxPool2d))
-        for layer in layers:
+        for i, layer in enumerate(layers):
             if isinstance(layer, Flatten):
                 layer.batch_last = self.batch_last
+            # Training normalizes in place, so a BatchNorm's input must be an
+            # array that nothing else reads: a fresh Dense or Conv2d output.
+            fresh = i and isinstance(layers[i - 1], (Dense, Conv2d))
+            if isinstance(layer, BatchNorm) and not fresh:
+                raise ValueError(f"layer {i}: a BatchNorm must directly follow a Dense or Conv2d")
         self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
         layers[self._first_weighted].input_grad = False
         # The one fold slot: the pairs' state last seen and the folds compiled from it.
@@ -106,6 +111,9 @@ class Network:
         self._stage_end = {i: i + 3 if i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2d)
                            else i + 2 for i, (a, b) in enumerate(zip(layers, layers[1:]))
                            if isinstance(a, BatchNorm) and isinstance(b, QuantAct)}
+        # By the same index, each stage input that a training forward
+        # normalized, until its backward turns it into the input gradient.
+        self._normalized: dict[int, np.ndarray] = {}
 
     def enter(self, images: np.ndarray) -> np.ndarray:
         """An image batch in the layout the first layer takes."""
@@ -152,6 +160,8 @@ class Network:
         c, h, w, b = y.shape
         out = np.empty((c, *pool[0].out_hw(h, w), b) if pool else y.shape)
         zeros = 0
+        if training:
+            self._normalized[start] = y
         for s in self._stage_blocks(start, y):
             if fold is not None:
                 q, n = fold.levels(y[s], s)
@@ -168,13 +178,13 @@ class Network:
         return out, zeros
 
     def _stage_backward(self, start: int, grad: np.ndarray) -> np.ndarray:
+        """The stage's input gradient, written block by block over the array
+        that its training forward normalized in place."""
         bn, qa, *pool = self.layers[start:self._stage_end[start]]
-        k = pool[0].window if pool else 1
-        c, h, w, b = grad.shape
-        dx = np.empty((c, h * k, w * k, b))
+        dx = self._normalized.pop(start)
         for s in self._stage_blocks(start, dx):
             g = qa.backward(grad[s])
-            dx[s] = bn.backward(pool[0].backward(g) if pool else g)
+            bn.backward(pool[0].backward(g) if pool else g)
         return dx
 
     def grid_params(self):

@@ -155,6 +155,15 @@ class TestCorruption:
         save_checkpoint(path, net, cfg)
         return path
 
+    @pytest.mark.parametrize("fractions", [[0.25, 0.5], [1.5], ["0.2"], [True]],
+                             ids=["wrong-length", "above-one", "string", "bool"])
+    def test_save_refuses_zero_fractions_that_load_would_refuse(self, tmp_path, fractions):
+        cfg = blobs_config()  # one quantizer
+        with pytest.raises(CheckpointError, match="zero fractions"):
+            save_checkpoint(str(tmp_path / "model.gxnr"), build_from(cfg), cfg,
+                            activation_zero_fractions=fractions)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         cfg = blobs_config()
         target = tmp_path / "taken"

@@ -1,5 +1,6 @@
 """Layer forward/backward oracles: nested-loop references and finite differences."""
 
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -505,7 +506,7 @@ class TestBatchNorm:
         # MOMENTUM 1 makes the running statistics this batch's own.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(BatchNorm, "MOMENTUM", 1.0)
-            layer.forward(x, training=True)
+            layer.forward(x.copy(), training=True)
         assert np.array_equal(layer.running_mean, x.mean(axis=axes))
         assert np.array_equal(layer.running_var, x.var(axis=axes))
 
@@ -516,11 +517,11 @@ class TestBatchNorm:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 3))
         g = rng.normal(size=(6, 3))
-        layer.forward(x, training=True)
+        layer.forward(x.copy(), training=True)
         dx = layer.backward(g)
 
         def loss():
-            return float(np.sum(g * layer.forward(x, training=True)))
+            return float(np.sum(g * layer.forward(x.copy(), training=True)))
 
         assert np.allclose(dx, central_diff(loss, x), atol=1e-5)
         assert np.allclose(layer.gamma.grad, central_diff(loss, layer.gamma.value),
@@ -554,8 +555,22 @@ class TestBatchNorm:
         for a, b in pairs:
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 2, 2, 4)])
+    def test_training_backward_writes_over_the_input_and_lets_it_go(self, shape):
+        """Training forward leaves xhat in its input, and backward returns the
+        input gradient in that same memory and keeps no reference to it."""
+        rng = np.random.default_rng(11)
+        layer = BatchNorm(3)
+        x = rng.normal(size=shape)
+        layer.forward(x, training=True)
+        dx = layer.backward(rng.normal(size=shape))
+        assert np.shares_memory(dx, x)
+        held = weakref.ref(x)
+        del x, dx
+        assert held() is None
+
     def test_state_kept_across_batch_sizes_equals_a_fresh_layer(self):
-        """The buffers that outlive a step (xhat, the inverse deviations, the
+        """The buffers that outlive a step (the inverse deviations, the
         count and the gamma/beta gradients) serve batches of 6, 3 and 6 rows
         as a fresh copy of the layer's state does, bit for bit."""
         rng = np.random.default_rng(23)
@@ -563,7 +578,7 @@ class TestBatchNorm:
         for step, rows in enumerate([6, 3, 6]):
             x, g = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3))
             ref = self.fresh_copy(layer)
-            out = layer.forward(x, training=True)
+            out = layer.forward(x.copy(), training=True)
             if step == 0:
                 assert layer.gamma.grad is None and layer.beta.grad is None
                 with pytest.raises(TypeError):  # no gradient to step on yet
@@ -591,7 +606,7 @@ class TestBatchNorm:
             y = rng.normal(size=(3, 4, 4, batch))
             g = rng.normal(size=(3, 2, 2, batch) if window else y.shape)
             rbn, rqa, rpool = self.fresh_copy(bn), QuantAct(TERNARY, spec), MaxPool2d(window or 1)
-            out, _ = net._stage_forward(1, y, True)
+            out, _ = net._stage_forward(1, y.copy(), True)
             if step == 0:
                 assert bn.gamma.grad is None and bn.beta.grad is None
             dx = net._stage_backward(1, g)

@@ -3,6 +3,7 @@
 import copy
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +349,29 @@ def test_backward_stops_at_the_first_weighted_layer(architecture, monkeypatch):
     assert set(returned) == {id(layer) for layer in net.layers[first:]}
 
 
+@pytest.mark.parametrize("architecture", ["mlp-36-8-4", "conv-2c3-mp2-4fc", "conv-mp2-2c3-4fc"])
+def test_train_step_leaves_the_images_as_they_were(architecture):
+    # Training normalizes each BatchNorm's input in place, and none of those
+    # inputs is the caller's array.
+    net = build_network(architecture, input_shape=(1, 6, 6), classes=4, seed=5)
+    rng = np.random.default_rng(7)
+    images = rng.uniform(-1.0, 1.0, size=(8, 1, 6, 6))
+    before = images.copy()
+    train_step(net, images, rng.integers(0, 4, size=8),
+               DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params()))
+    assert images.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("before", [[], [Flatten()]], ids=["first", "after-flatten"])
+def test_a_batch_norm_must_follow_a_dense_or_a_conv(before):
+    # Anything else could hand it an array that the caller still reads.
+    space = make_space(1)
+    layers = [*before, BatchNorm(4), QuantAct(space, SurrogateSpec()),
+              Dense(4, 2, space, seed=0, layer_index=0)]
+    with pytest.raises(ValueError, match="must directly follow a Dense or Conv2d"):
+        Network(layers, classes=2, input_shape=(1, 2, 2))
+
+
 def unfused_train_step(net, images, labels, grid_opt, real_opt):
     """``train_step`` with every layer run on its whole input, one after
     another: no conv stage runs block by block."""
@@ -421,10 +445,10 @@ class TestConvStageBlocks:
         shape = (channels, 6, 6, 5)
         self.use_layout(layout, shape, monkeypatch)
         pooled = (channels, 6 // (window or 1), 6 // (window or 1), 5)
-        for step in range(2):  # the second step writes over the first's xhat
+        for step in range(2):  # the second step starts from the state the first left
             y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0])
             g = rng.choice(np.array([-0.0, 0.0, 1.0, -2.5, 0.5]), size=pooled)
-            out, zeros = net._stage_forward(1, y, True)
+            out, zeros = net._stage_forward(1, y.copy(), True)
             assert zeros == 0
             dx = net._stage_backward(1, g)
             rbn, rqa, *rpool = ref.layers[1:]
@@ -440,6 +464,20 @@ class TestConvStageBlocks:
                          (bn.running_var, rbn.running_var)]:
                 assert_same_bits(a, b)
             assert all(layer.channels == slice(None) for layer in net.layers)
+
+    def test_stage_backward_returns_the_array_forward_normalized(self, monkeypatch):
+        """The input gradient is written, block by block, over the stage's
+        input, and neither the net nor its layers hold it afterwards."""
+        monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES", 1)  # one channel a block
+        net = self.stage_net("rect", 1, 3, 2)
+        rng = np.random.default_rng(37)
+        y = rng.normal(size=(3, 6, 6, 5))
+        net._stage_forward(1, y, True)
+        dx = net._stage_backward(1, rng.normal(size=(3, 3, 3, 5)))
+        assert dx is y
+        held = weakref.ref(y)
+        del y, dx
+        assert held() is None
 
     def test_a_failed_stage_leaves_every_layer_on_all_channels(self):
         """A stage's BatchNorm that raises inside the block loop leaves
@@ -509,23 +547,24 @@ class TestConvStageBlocks:
         for a, b in zip(*runs):
             assert_same_bits(a, b)
 
-    def test_a_conv_step_peaks_under_two_conv1_activations_above_what_it_holds(self):
-        """Above what a conv net holds between steps, a training step peaks
-        at about 1.7 times conv1's output: that output, Conv2d's im2col
-        columns and one block's scratch in forward; the stage's input
-        gradient and the columns in backward.  Run whole, the conv1 stage
-        held 3: the conv output, a fresh xhat and the batch-norm output.
-        tracemalloc counts NumPy's buffers."""
+    # The bytes of conv1's float64 output in the net that traced_steps trains.
+    CONV1 = 16 * 24 * 24 * 50 * 8
+
+    @staticmethod
+    def traced_steps() -> tuple[int, int, int]:
+        """What ``conv-16c5-mp2-10fc`` and its optimizers hold once built,
+        what they hold after a training step at batch 50, and the peak of a
+        second step, as tracemalloc counts NumPy's buffers."""
         rng = np.random.default_rng(41)
         images = rng.uniform(0.0, 1.0, size=(50, 1, 28, 28))
         labels = rng.integers(0, 10, size=50)
-        net = build_network("conv-16c5-mp2-10fc", seed=1)
-        grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
-        conv1 = 16 * 24 * 24 * 50 * 8
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
+            net = build_network("conv-16c5-mp2-10fc", seed=1)
+            grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+            built, _ = tracemalloc.get_traced_memory()
             train_step(net, images, labels, grid, real)  # every cache exists
             held, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -534,7 +573,31 @@ class TestConvStageBlocks:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak - held < 2 * conv1
+        return built, held, peak
+
+    def test_a_conv_step_peaks_under_two_conv1_activations_above_what_it_holds(self):
+        """Above what a conv net holds between steps, a training step peaks
+        at about 1.7 times conv1's output: that output, which becomes xhat in
+        place, Conv2d's im2col columns and one block's scratch in forward;
+        the same array, which becomes the stage's input gradient, and the
+        columns in backward.  Run whole, the conv1 stage held 3: the conv
+        output, a fresh xhat and the batch-norm output."""
+        _, held, peak = self.traced_steps()
+        assert peak - held < 2 * self.CONV1
+
+    def test_between_steps_a_conv_net_holds_under_three_quarters_of_conv1(self):
+        """Beyond what it held once built, a trained net keeps its layers'
+        caches and the optimizers' moments, but no conv-size batch-norm
+        state: xhat lives in the conv output and dies with the backward."""
+        built, held, _ = self.traced_steps()
+        assert held - built < 0.75 * self.CONV1
+
+    def test_a_conv_step_peaks_under_two_and_a_half_conv1_above_the_built_net(self):
+        """A second step peaks under 2.5 times conv1's output above what the
+        net and its optimizers held once built: the between-step caches plus
+        the step's own peak, with one full-size array per conv stage."""
+        built, _, peak = self.traced_steps()
+        assert peak - built < 2.5 * self.CONV1
 
     def test_a_conv_eval_peaks_under_one_and_a_half_conv1_activations_above_what_it_holds(self):
         """Above what it holds, one evaluate batch peaks at about 1.35 times
