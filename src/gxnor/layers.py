@@ -22,9 +22,10 @@ float32.  Every layer returns float64, and every backward pass is float64.
 A conv stage is a 4-D ``BatchNorm`` -> ``QuantAct`` pair and the
 ``MaxPool2d`` after it, if there is one.  ``Network`` runs each stage, in
 training and in inference, one :func:`_channel_blocks` block at a time: it
-sets each stage layer's ``channels`` to the block and calls its ``forward``
-(and its training ``backward``) once per block, so every channel meets the
-same operations in the same order as when each layer runs on the whole array.
+passes the block to each stage layer's ``forward`` (and training
+``backward``) as its ``channels`` argument, which no layer keeps, so every
+channel meets the same operations in the same order as when each layer runs
+on the whole array.
 A stage's arrays exist at full size only where the stage needs them whole:
 the conv output that feeds it and the stage's output; in training also,
 with no pool, a ``QuantAct``'s cache (pulse counts, or the input for tri
@@ -80,24 +81,26 @@ class LossGrad:
     dscores: np.ndarray
 
 
+ALL = slice(None)  # every channel: the ``channels`` of a call on a whole activation
+
+
 class Layer:
     """Base: forward caches, backward consumes; parameter lists default empty.
 
     A weighted layer with ``input_grad`` False still sets its weight gradient
     in ``backward`` but returns None in place of the input gradient.
 
-    ``channels`` is the part of a 4-D activation's channels that a
-    ``forward`` or ``backward`` call is given: all of them, or one block of a
-    conv stage (see the module docstring).  :meth:`_store` keeps one value
-    per block and starts afresh at channel 0, so a stage's blocks come in
-    channel order; ``BatchNorm`` keeps its training state per channel, and a
-    call writes only its own channels of it.  A training ``BatchNorm``
-    stores the block it was given, which then holds ``xhat``, and its
-    backward takes it out of the store again.
+    ``BatchNorm``, ``QuantAct`` and ``MaxPool2d`` take a ``channels``
+    argument, the part of a 4-D activation's channels that a call is given:
+    all of them by default, or one block of a conv stage (see the module
+    docstring).  :meth:`_store` keeps one value per block and starts afresh
+    at channel 0, so a stage's blocks come in channel order; ``BatchNorm``
+    keeps its training state per channel, and a call writes only its own
+    channels of it.  A training ``BatchNorm`` stores the block it was given,
+    which then holds ``xhat``, and its backward takes it out of the store.
     """
 
     input_grad = True
-    channels = slice(None)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
@@ -111,15 +114,15 @@ class Layer:
     def real_params(self) -> list[RealParam]:
         return []
 
-    def _store(self, value) -> None:
+    def _store(self, value, channels: slice) -> None:
         """Cache ``value`` for the backward call of the same ``channels``; a
         call on all channels or on a stage's first block starts afresh."""
-        if not self.channels.start:
+        if not channels.start:
             self._per_block = {}
-        self._per_block[self.channels.start] = value
+        self._per_block[channels.start] = value
 
-    def _stored(self):
-        return self._per_block[self.channels.start]
+    def _stored(self, channels: slice):
+        return self._per_block[channels.start]
 
 
 # Elementwise work on a 4-D activation goes through in blocks of whole
@@ -336,7 +339,8 @@ class Conv2d(Layer):
 class MaxPool2d(Layer):
     """Non-overlapping max pooling of (c, h, w, b) input.
 
-    The gradient routes to the first max in scan order.
+    The gradient routes to the first max in scan order.  Training caches each
+    window's winning tap by ``channels``, for :meth:`winners` and :meth:`backward`.
     """
 
     def __init__(self, window: int):
@@ -351,7 +355,7 @@ class MaxPool2d(Layer):
             raise ValueError(f"input {h}x{w} not divisible by window {k}")
         return h // k, w // k
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool, channels: slice = ALL) -> np.ndarray:
         k = self.window
         self.out_hw(*x.shape[1:3])
         # One pass over the k^2 strided taps; tap t sits at offset divmod(t, k).
@@ -369,13 +373,13 @@ class MaxPool2d(Layer):
                 argmax += wins * argmax.dtype.type(t)
             np.maximum(out, tap, out=out)
         if training:
-            self._store((argmax, x.shape))
+            self._store((argmax, x.shape), channels)
         return out
 
-    def _winners(self) -> tuple[np.ndarray, tuple]:
+    def _winners(self, channels: slice) -> tuple[np.ndarray, tuple]:
         """The shape of this block's training input, and the flat index into
         that input of each window's winning tap, in the output's shape."""
-        argmax, shape = self._stored()
+        argmax, shape = self._stored(channels)
         k = self.window
         c, h, w, b = shape
         oh, ow = h // k, w // k
@@ -392,13 +396,13 @@ class MaxPool2d(Layer):
         index += corners[:c]
         return index, shape
 
-    def winners(self, x: np.ndarray) -> np.ndarray:
+    def winners(self, x: np.ndarray, channels: slice = ALL) -> np.ndarray:
         """The values of ``x``, shaped as this block's training input, at
         each window's winning tap: one per output element."""
-        return x.reshape(-1)[self._winners()[0]]
+        return x.reshape(-1)[self._winners(channels)[0]]
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        index, shape = self._winners()
+    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
+        index, shape = self._winners(channels)
         dx = np.zeros(shape)
         dx.reshape(-1)[index.reshape(-1)] = grad.reshape(-1)
         return dx
@@ -414,7 +418,8 @@ class Flatten(Layer):
     batch_last = False
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        self._shape = x.shape
+        if training:
+            self._shape = x.shape
         if self.batch_last:
             return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
         return x.reshape(x.shape[0], -1)
@@ -430,8 +435,8 @@ class BatchNorm(Layer):
 
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
-    inference mode.  A call, in either mode, computes the values of the
-    channels that ``channels`` names as a call on all of them does.
+    inference mode.  A call in either mode, forward or backward, computes the
+    values of its ``channels`` as a call on all of them does.
 
     Training runs in place: forward leaves ``xhat`` in the float64 array it
     was given and keeps that array, and backward writes the input gradient
@@ -460,9 +465,9 @@ class BatchNorm(Layer):
             return (1, 2, 3), (-1, 1, 1, 1)
         raise ValueError(f"expected 2-D or 4-D input, got shape {x.shape}")
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool, channels: slice = ALL) -> np.ndarray:
         axes, shape = self._axes_and_shape(x)
-        c = self.channels
+        c = channels
         g = self.gamma.value.reshape(shape)[c]
         b = self.beta.value.reshape(shape)[c]
         if not training:
@@ -486,15 +491,15 @@ class BatchNorm(Layer):
         var = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
         inv_std[...] = 1.0 / np.sqrt(var.reshape(shape) + self.EPS)
         d *= inv_std
-        self._store(d)
+        self._store(d, c)
         np.multiply(g, d, out=out)
         out += b
         self.running_mean[c] = (1 - self.MOMENTUM) * self.running_mean[c] + self.MOMENTUM * mean
         self.running_var[c] = (1 - self.MOMENTUM) * self.running_var[c] + self.MOMENTUM * var
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        c, n = self.channels, self._n
+    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
+        c, n = channels, self._n
         axes, shape = self._axes_and_shape(grad)
         xhat, inv_std = self._per_block.pop(c.start), self._inv_std.reshape(shape)[c]
         gamma = self.gamma.value.reshape(shape)[c]
@@ -527,10 +532,10 @@ class QuantAct(Layer):
     For rect pulses, training forward caches each element's pulse count
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)`` set in ``__init__``; tri pulses cache the input
-    and rebuild the surrogate.  Forward quantizes what it is given in one
-    call; a conv stage gives it one channel block at a time.  :meth:`keep`
-    caches the pulses of some inputs alone: a pooled conv stage keeps those
-    at the pool's winning taps, and then backward takes the pooled gradient.
+    and rebuild the surrogate.  A training forward caches for its whole
+    input; a conv stage quantizes each channel block in inference mode and
+    caches by :meth:`keep` with that block's ``channels`` (behind a pool, at
+    the winning taps alone, and backward then takes the pooled gradient).
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
@@ -563,13 +568,14 @@ class QuantAct(Layer):
             self.keep(x)
         return out
 
-    def keep(self, x: np.ndarray) -> None:
-        """Cache for backward what the slopes at the inputs ``x`` need."""
+    def keep(self, x: np.ndarray, channels: slice = ALL) -> None:
+        """Cache for the backward call of the same ``channels`` what the
+        slopes at the inputs ``x`` need."""
         rect = self._height is not None
-        self._store(rect_pulse_count(x, self.space, self.spec) if rect else x)
+        self._store(rect_pulse_count(x, self.space, self.spec) if rect else x, channels)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        pulses = self._stored()
+    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
+        pulses = self._stored(channels)
         if self._height is not None:
             slope = pulses * self._height
         else:

@@ -1,4 +1,4 @@
-"""Network assembly, training loop, and the dual inference paths.
+"""Network assembly, training loop, and one layer walk for training and inference.
 
 Architectures are named by compact ids in one grammar.  Every width, kernel
 size and pool size is ``[1-9][0-9]*``, and each stage's shape is checked
@@ -17,17 +17,17 @@ Training follows forward -> squared hinge loss -> backward -> one stochastic
 grid transition per weight tensor and one Adam step for the batch-norm
 parameters, with the learning rate decaying by a fixed factor per epoch.
 
-Inference has one layer walk and one loop over batches.  The walk runs every
-layer in inference mode, each conv stage one channel block at a time as in
-training, and counts the zeros of each quantized activation.  Each
-``BatchNorm`` -> ``QuantAct`` pair runs as exact per-channel compares
-(:mod:`gxnor.fold`) once its parameters have been seen twice: a batch whose
-batch-norm state and quantizer differ from the last batch's runs the two
-layers, and the next batch that finds the same state compiles the
-thresholds, which serve that batch and every later one until the state
-changes.  Training changes the state every step, so ``fit``'s once-per-epoch
-test pass compiles nothing unless it has more than one batch.
-``evaluate`` (and ``fit``'s per-epoch test pass) take the float walk.
+One layer walk runs every forward pass, each conv stage one channel block at
+a time.  Training runs every layer.  Inference, float or packed, counts the
+zeros of each quantized activation and runs each ``BatchNorm`` ->
+``QuantAct`` pair as exact per-channel compares (:mod:`gxnor.fold`) once its
+parameters have been seen twice: a batch whose batch-norm state and
+quantizer differ from the last batch's runs the two layers, and the next
+batch that finds the same state compiles the thresholds, which serve that
+batch and every later one until the state changes.  Training changes the
+state every step, so ``fit``'s once-per-epoch test pass compiles nothing
+unless it has more than one batch.  ``evaluate`` (and ``fit``'s per-epoch
+test pass) take the float walk, one batch at a time.
 ``packed_evaluate`` takes the packed walk, where every dense layer whose
 operands are exactly ternary runs on bit-packed gated-XNOR dot products and
 must agree with the float walk bit for bit.  ``check_packed_scores`` runs
@@ -86,7 +86,8 @@ class Network:
     as (c, h, w, b).  Backward stops at the first weighted layer, which skips
     its input gradient.  Training and inference run each conv stage, a 4-D
     ``BatchNorm`` -> ``QuantAct`` pair and the ``MaxPool2d`` after it if
-    there is one, one channel block at a time (see :mod:`gxnor.layers`).
+    there is one, one channel block at a time, passing each block to the
+    stage's layers as their ``channels`` argument (see :mod:`gxnor.layers`).
     """
 
     def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
@@ -120,14 +121,9 @@ class Network:
         return np.ascontiguousarray(images.transpose(1, 2, 3, 0)) if self.batch_last else images
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = self.enter(x)
-        i = 0
-        while i < len(self.layers):
-            if training and x.ndim == 4 and i in self._stage_end:
-                x, i = self._stage_forward(i, x, True)[0], self._stage_end[i]
-            else:
-                x, i = self.layers[i].forward(x, training), i + 1
-        return x
+        """The class scores of an image batch, by :func:`_walk`: an inference
+        pass runs a compiled fold where the second-sight rule gives one."""
+        return _walk(self, x, training=training)[0]
 
     def backward(self, dscores: np.ndarray) -> None:
         starts = {end: i for i, end in self._stage_end.items()}
@@ -137,20 +133,6 @@ class Network:
                 grad, i = self._stage_backward(starts[i], grad), starts[i]
             else:
                 grad, i = self.layers[i - 1].backward(grad), i - 1
-
-    def _stage_blocks(self, start: int, x: np.ndarray):
-        """The channel blocks of ``x``, the stage's input or input gradient,
-        with ``channels`` set to each block on the stage's layers while the
-        caller's loop body runs for it; reset to all channels at the end."""
-        stage = self.layers[start:self._stage_end[start]]
-        try:
-            for s in _channel_blocks(x):
-                for layer in stage:
-                    layer.channels = s
-                yield s
-        finally:
-            for layer in stage:
-                layer.channels = slice(None)
 
     def _stage_forward(self, start: int, y: np.ndarray, training: bool,
                        fold: Fold | None = None) -> tuple[np.ndarray, int]:
@@ -162,19 +144,19 @@ class Network:
         zeros = 0
         if training:
             self._normalized[start] = y
-        for s in self._stage_blocks(start, y):
+        for s in _channel_blocks(y):
             if fold is not None:
                 q, n = fold.levels(y[s], s)
             else:
-                z = bn.forward(y[s], training)
-                q = qa.forward(z, training and not pool)
+                z = bn.forward(y[s], training, s)
+                q = qa.forward(z, False)
                 n = 0 if training else q.size - np.count_nonzero(q)
             zeros += n
-            out[s] = pool[0].forward(q, training) if pool else q
-            if training and pool:
-                # Every tap but a window's winner gets a +0.0 gradient, so
-                # QuantAct caches its pulses at the winners alone.
-                qa.keep(pool[0].winners(z))
+            out[s] = pool[0].forward(q, training, s) if pool else q
+            if training:
+                # Behind a pool every tap but a window's winner gets a +0.0
+                # gradient, so QuantAct caches its pulses at the winners alone.
+                qa.keep(pool[0].winners(z, s) if pool else z, s)
         return out, zeros
 
     def _stage_backward(self, start: int, grad: np.ndarray) -> np.ndarray:
@@ -182,9 +164,9 @@ class Network:
         that its training forward normalized in place."""
         bn, qa, *pool = self.layers[start:self._stage_end[start]]
         dx = self._normalized.pop(start)
-        for s in self._stage_blocks(start, dx):
-            g = qa.backward(grad[s])
-            bn.backward(pool[0].backward(g) if pool else g)
+        for s in _channel_blocks(dx):
+            g = qa.backward(grad[s], s)
+            bn.backward(pool[0].backward(g, s) if pool else g, s)
         return dx
 
     def grid_params(self):
@@ -310,18 +292,21 @@ def train_step(net: Network, images: np.ndarray, labels: np.ndarray,
 
 
 def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
-          tally: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
-    """One batch's class scores and each quantized layer's zero fraction.
+          tally: np.ndarray | None = None, *,
+          training: bool = False) -> tuple[np.ndarray, list[float]]:
+    """One batch's class scores and, in inference, each quantized layer's
+    zero fraction; every forward pass of ``net`` is this walk.
 
-    Every layer runs in inference mode, a conv stage by channel blocks and a
-    pair with a compiled fold as its compares.  Each dense layer with packed
-    weights in ``packed_w`` (``id(layer)`` to packed weights) runs on bit
-    planes, taken straight from a fold's compares where one feeds it, and adds
-    its open gates, bitcounts and lanes to ``tally``; its integer scores go on
-    as they are.
+    A conv stage runs by channel blocks.  Training runs every layer, caching
+    what backward needs, and counts no zeros.  Inference runs a pair with a
+    compiled fold as its compares.  Each dense layer with packed weights in
+    ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes, taken
+    straight from a fold's compares where one feeds it, and adds its open
+    gates, bitcounts and lanes to ``tally``; its integer scores go on as
+    they are.
     """
     zeros = []
-    folds = net._folds()
+    folds = {} if training else net._folds()
     x = net.enter(x)
     layers = net.layers
     i = 0
@@ -331,11 +316,12 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
         if fold is not None or (i in net._stage_end and x.ndim == 4):
             size = x.size
             if x.ndim == 4:
-                x, zero = net._stage_forward(i, x, False, fold)
+                x, zero = net._stage_forward(i, x, training, fold)
             else:
                 feeds_packed = packed_w and i + 2 < len(layers) and id(layers[i + 2]) in packed_w
                 x, zero = (fold.planes if feeds_packed else fold.levels)(x)
-            zeros.append(zero / size)
+            if not training:
+                zeros.append(zero / size)
             i = net._stage_end[i]
             continue
         if packed_w and id(layer) in packed_w:
@@ -343,8 +329,8 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
             x, rep = packed_dense_forward(planes, packed_w[id(layer)])
             tally += (rep.xnor_ops, rep.bitcount_ops, planes.n_rows * layer.weight.value.size)
         else:
-            x = layer.forward(x, training=False)
-        if isinstance(layer, QuantAct):
+            x = layer.forward(x, training)
+        if isinstance(layer, QuantAct) and not training:
             zeros.append((x.size - np.count_nonzero(x)) / x.size)
         i += 1
     return x, zeros

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import logging
 import math
@@ -593,6 +594,28 @@ class TestExitCodes:
         cfg.write_text(dataclasses.replace(FAST_BLOBS, h=2.0**32, epochs=1).to_text())
         assert run("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["metrics.csv", "model.gxnr"])
+    def test_a_full_disk_is_runtime_error_leaving_no_temp_file(self, tmp_path, capsys,
+                                                               monkeypatch, target):
+        """``train`` on ``configs/blobs.cfg`` whose fsync of ``target`` finds
+        the disk full exits 4 with one line on stderr, and removes its temp
+        file."""
+        out = tmp_path / "out"
+        fsync = os.fsync
+
+        def full_disk(fd):
+            temp = out / f"{target}.tmp.{os.getpid()}"
+            if temp.exists() and os.path.samestat(os.fstat(fd), os.stat(temp)):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fsync(fd)
+        monkeypatch.setattr(os, "fsync", full_disk)
+        blobs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "configs", "blobs.cfg")
+        assert run("train", "--config", blobs, "--out-dir", str(out)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: ") and "Traceback" not in err[0]
+        assert not [name for name in os.listdir(out) if ".tmp." in name]
 
     def test_runtime_error_bad_checkpoint(self, tmp_path):
         junk = tmp_path / "junk.gxnr"

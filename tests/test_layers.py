@@ -417,21 +417,24 @@ def test_maxpool_exact_with_signed_zeros_and_ties(case):
     assert np.array_equal(routed, ref_routed)
 
 
-@pytest.mark.parametrize("make,shape", [
-    (lambda: Dense(4, 3, TERNARY, seed=0, layer_index=0), (5, 4)),
-    (lambda: Conv2d(2, 3, kernel_size=2, space=TERNARY, seed=0, layer_index=0), (2, 2, 4, 4)),
-    (lambda: MaxPool2d(2), (3, 4, 4, 2)),
-    (lambda: QuantAct(TERNARY, RECT), (3, 6)),
-], ids=["Dense", "Conv2d", "MaxPool2d", "QuantAct"])
-def test_eval_forward_leaves_backward_cache_alone(make, shape):
-    """An inference pass between forward and backward must not change the gradients."""
+@pytest.mark.parametrize("make,shape,other", [
+    (lambda: Dense(4, 3, TERNARY, seed=0, layer_index=0), (5, 4), (7, 4)),
+    (lambda: Conv2d(2, 3, kernel_size=2, space=TERNARY, seed=0, layer_index=0), (2, 2, 4, 4),
+     (2, 2, 4, 3)),
+    (lambda: MaxPool2d(2), (3, 4, 4, 2), (3, 4, 4, 5)),
+    (lambda: QuantAct(TERNARY, RECT), (3, 6), (4, 6)),
+    (Flatten, (3, 2, 4), (5, 2, 4)),
+], ids=["Dense", "Conv2d", "MaxPool2d", "QuantAct", "Flatten"])
+def test_eval_forward_leaves_backward_cache_alone(make, shape, other):
+    """An inference pass between forward and backward, on a batch of
+    another size (shape ``other``), must not change the gradients."""
     rng = np.random.default_rng(15)
     x = rng.normal(size=shape)
     layer = make()
     out = layer.forward(x, training=True)
     g = rng.normal(size=out.shape)
     expect = layer.backward(g)
-    layer.forward(rng.normal(size=shape), training=False)
+    layer.forward(rng.normal(size=other), training=False)
     assert np.array_equal(layer.backward(g), expect)
 
 

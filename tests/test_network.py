@@ -334,8 +334,8 @@ def test_backward_stops_at_the_first_weighted_layer(architecture, monkeypatch):
     assert [layer.input_grad for layer in weighted] == [False] + [True] * (len(weighted) - 1)
     returned = {}
     for layer in net.layers:
-        def record(grad, layer=layer, backward=layer.backward):
-            returned[id(layer)] = backward(grad)
+        def record(grad, *block, layer=layer, backward=layer.backward):
+            returned[id(layer)] = backward(grad, *block)
             return returned[id(layer)]
         monkeypatch.setattr(layer, "backward", record)
     rng = np.random.default_rng(5)
@@ -463,7 +463,6 @@ class TestConvStageBlocks:
                          (bn.running_mean, rbn.running_mean),
                          (bn.running_var, rbn.running_var)]:
                 assert_same_bits(a, b)
-            assert all(layer.channels == slice(None) for layer in net.layers)
 
     def test_stage_backward_returns_the_array_forward_normalized(self, monkeypatch):
         """The input gradient is written, block by block, over the stage's
@@ -479,16 +478,15 @@ class TestConvStageBlocks:
         del y, dx
         assert held() is None
 
-    def test_a_failed_stage_leaves_every_layer_on_all_channels(self):
-        """A stage's BatchNorm that raises inside the block loop leaves
-        ``channels`` reset and the running statistics as they were."""
+    def test_a_failed_stage_leaves_the_running_statistics_as_they_were(self):
+        """A stage's BatchNorm that raises inside the block loop leaves the
+        running statistics as they were."""
         net = build_network("conv-2c1-mp1-4fc", input_shape=(1, 1, 1), classes=2)
         norms = [l for l in net.layers if isinstance(l, BatchNorm)]
         before = [(l.running_mean.copy(), l.running_var.copy()) for l in norms]
         grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
         with pytest.raises(ValueError, match="needs at least 2 values per feature"):
             train_step(net, np.zeros((1, 1, 1, 1)), np.zeros(1, dtype=int), grid, real)
-        assert all(layer.channels == slice(None) for layer in net.layers)
         for layer, (mean, var) in zip(norms, before):
             assert_same_bits(layer.running_mean, mean)
             assert_same_bits(layer.running_var, var)
@@ -517,7 +515,6 @@ class TestConvStageBlocks:
         y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0,
                                          np.nan, np.inf, -np.inf])
         out, zeros = net._stage_forward(1, y, False, fold)
-        assert all(layer.channels == slice(None) for layer in net.layers)
         q = qa.forward(bn.forward(y, False), False)
         assert_same_bits(out, pool[0].forward(q, False) if pool else q)
         assert zeros == np.count_nonzero(q == 0)
@@ -832,7 +829,9 @@ class TestSecondSight:
         else:
             train_step(net, data.images[:50], data.labels[:50],
                        DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params()))
-        expected = net.forward(images)  # every layer, unfused
+        expected = net.enter(images)
+        for layer in net.layers:  # every layer, unfused
+            expected = layer.forward(expected, training=False)
         assert not np.array_equal(expected, before)
         fractions, _ = zero_fraction_oracle(net, data, EVAL_BATCH)
         ran = []
@@ -850,6 +849,16 @@ class TestSecondSight:
             assert tuple(zeros) == fractions, sight
             assert len(compiled) == compiles, sight
             assert ran == runs, sight
+
+    def test_inference_forward_is_the_walk(self):
+        """Two inference ``forward`` calls on an unchanged net compile its
+        folds, and both give the scores that ``_walk`` gives."""
+        net, data = self.trained_net()
+        images = data.images[:EVAL_BATCH]
+        first, second = net.forward(images), net.forward(images)
+        assert net._fold_slot[1] is not None
+        walked = gxnor.network._walk(net, images)[0]
+        assert first.tobytes() == second.tobytes() == walked.tobytes()
 
     def test_packed_walk_takes_planes_from_the_compares(self, monkeypatch):
         net, data = self.trained_net()
