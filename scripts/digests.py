@@ -15,7 +15,12 @@ Run it on two checkouts and diff the output.  It prints one sha256 per line:
 * ``conv_eval``: one ``evaluate`` of that trained net over 2 500 further
   images, batches of 1 000, 1 000 and 500: the first runs each batch norm
   and quantizer pair unfused, the second compiles their folds and the third
-  reuses them.  It hashes each batch's scores and zero fractions.
+  reuses them.  It hashes each batch's scores and zero fractions;
+* ``conv_tri_4_steps``: four seeded training steps of
+  ``conv-8c3-16c3-mp2-32fc`` with tri pulses on perfbench's synthetic
+  images, hashed as ``conv_6_steps`` is.  Its quantizers cache their inputs,
+  not pulse counts, and its first conv stage has no pool, next to a second
+  one with a pool.
 
 The package and the workloads come from this checkout's ``src/`` and
 ``perfbench/``.  Results can depend on the BLAS build and on the kernel
@@ -47,6 +52,8 @@ import workloads  # noqa: E402
 
 CONV_STEPS = 6
 EVAL_IMAGES = 2500
+TRI_CONV = "conv-8c3-16c3-mp2-32fc"
+TRI_STEPS = 4
 
 
 def file_digest(path: str) -> str:
@@ -80,6 +87,21 @@ def conv_digests(seed: int) -> dict[str, str]:
     rng = np.random.default_rng(seed)
     train = workloads.synthetic_images(rng, CONV_STEPS * workloads.BATCH)
     net = gxnor.build_network(workloads.CONV, seed=seed)
+    steps = train_digest(net, train, seed)
+    test = workloads.synthetic_images(rng, EVAL_IMAGES)
+    return {"conv_6_steps": steps, "conv_eval": eval_digest(net, test)}
+
+
+def tri_conv_digest(seed: int) -> str:
+    train = workloads.synthetic_images(np.random.default_rng(seed), TRI_STEPS * workloads.BATCH)
+    net = gxnor.build_network(TRI_CONV, seed=seed, surrogate="tri")
+    return train_digest(net, train, seed)
+
+
+def train_digest(net: gxnor.Network, train: gxnor.Dataset, seed: int) -> str:
+    """sha256 of ``net`` trained on ``train`` in seeded batches: the losses,
+    then every grid weight tensor, then each batch norm's gamma, beta and
+    running statistics, then both optimizers' Adam moments."""
     grid = gxnor.DstOptimizer(net.grid_params())
     real = gxnor.AdamOptimizer(net.real_params())
     losses = [gxnor.train_step(net, images, labels, grid, real)
@@ -94,8 +116,7 @@ def conv_digests(seed: int) -> dict[str, str]:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    test = workloads.synthetic_images(rng, EVAL_IMAGES)
-    return {"conv_6_steps": h.hexdigest(), "conv_eval": eval_digest(net, test)}
+    return h.hexdigest()
 
 
 def eval_digest(net: gxnor.Network, test: gxnor.Dataset) -> str:
@@ -148,6 +169,7 @@ def main(argv=None) -> int:
     digests = blobs_digests(seed)
     digests["mlp_train_losses"] = mlp_digest(seed)
     digests.update(conv_digests(seed))
+    digests["conv_tri_4_steps"] = tri_conv_digest(seed)
     for name, value in digests.items():
         print(f"{name} {value}")
     return 0

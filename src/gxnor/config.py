@@ -100,6 +100,7 @@ class RunConfig:
         parsers = {"int": int, "float": float, "str": str}
         seen: dict[str, object] = {}
         version = None
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -107,6 +108,10 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"line {lineno}: key {key!r} already given on line "
+                                  f"{first_line[key]}")
+            first_line[key] = lineno
             if key == "config_version":
                 version = value
                 continue
@@ -188,17 +193,20 @@ def read_metrics(path: str) -> tuple[dict[str, str], list[MetricsRecord]]:
     with open(path, encoding="utf-8") as fh:
         body = [line.rstrip("\n") for line in fh]
     rows = []
-    for line in body:
+    for lineno, line in enumerate(body, start=1):
         if line.startswith("#") and "=" in line:
             key, value = line[1:].split("=", 1)
             header[key.strip()] = value.strip()
         elif line:
-            rows.append(line)
-    if not rows or rows[0] != ",".join(METRICS_COLUMNS):
+            rows.append((lineno, line))
+    if not rows or rows[0][1] != ",".join(METRICS_COLUMNS):
         raise ConfigError(f"metrics file {path} missing column header")
-    for row in rows[1:]:
-        epoch, loss, acc, sparsity = row.split(",")
-        records.append(MetricsRecord(int(epoch), float(loss), float(acc), float(sparsity)))
+    for lineno, row in rows[1:]:
+        try:
+            epoch, loss, acc, sparsity = row.split(",")
+            records.append(MetricsRecord(int(epoch), float(loss), float(acc), float(sparsity)))
+        except ValueError as exc:
+            raise ConfigError(f"metrics file {path} line {lineno}: bad row {row!r}: {exc}") from exc
     return header, records
 
 

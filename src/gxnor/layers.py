@@ -1,8 +1,8 @@
 """Reverse-mode layers for grid-weight networks.
 
-Fixed layer-sequential topology: each layer caches what its backward pass
-needs during forward, and ``backward`` consumes gradients in reverse order.
-A network's first weighted layer has ``input_grad = False`` and returns no
+Fixed layer-sequential topology: a training forward pushes what its backward
+pass needs onto the layer's stack, and ``backward`` pops it, consuming
+gradients in reverse order.  A network's first weighted layer has ``input_grad = False`` and returns no
 input gradient, because nothing reads it.  Dense and convolution weights
 live on a discrete grid and are updated by stochastic state transitions;
 batch-norm scale/shift are the only full-precision learnables.  Quantized
@@ -21,28 +21,26 @@ float32.  Every layer returns float64, and every backward pass is float64.
 
 A conv stage is a 4-D ``BatchNorm`` -> ``QuantAct`` pair and the
 ``MaxPool2d`` after it, if there is one.  ``Network`` runs each stage, in
-training and in inference, one :func:`_channel_blocks` block at a time: it
-passes the block to each stage layer's ``forward`` (and training
-``backward``) as its ``channels`` argument, which no layer keeps, so every
-channel meets the same operations in the same order as when each layer runs
-on the whole array.
-A stage's arrays exist at full size only where the stage needs them whole:
-the conv output that feeds it and the stage's output; in training also,
-with no pool, a ``QuantAct``'s cache (pulse counts, or the input for tri
-pulses).  Training ``BatchNorm`` runs in place, as In-Place Activated
-BatchNorm does (Rota Bulò, Porzi & Kontschieder 2018): forward turns the
-conv output into ``xhat`` and backward writes the input gradient over it,
-so one full-size array is the conv output, then ``xhat``, then the gradient
-that the stage returns, and nothing of it outlives the backward pass.  A
-training ``BatchNorm`` therefore writes its input; ``Network`` feeds it only
-a fresh ``Dense`` or ``Conv2d`` output, which nothing else reads, and an
-inference call never writes its input.  The batch-norm output, the
+training and in inference, one :func:`_channel_blocks` block of its output
+at a time, and backward visits the blocks in reverse order.  ``BatchNorm``
+takes the whole stage input with the block as its ``channels`` argument, so
+every channel meets the same operations in the same order as when each
+layer runs on the whole array.  A stage's arrays exist at full size only
+where the stage needs them whole: the conv output that feeds it and the
+stage's output; in training also, with no pool, a ``QuantAct``'s cache
+(pulse counts, or the input for tri pulses).  Training ``BatchNorm`` runs in
+place, as In-Place Activated BatchNorm does (Rota Bulò, Porzi & Kontschieder
+2018): forward turns each block of the conv output into ``xhat`` and
+backward writes the input gradient over it, so one full-size array is the
+conv output, then ``xhat``, then the gradient that the stage returns.
+``Network`` therefore feeds a ``BatchNorm`` only a fresh ``Dense`` or
+``Conv2d`` output, which nothing else reads.  The batch-norm output, the
 quantized output (or a compiled fold's, :mod:`gxnor.fold`), the slopes, the
 pool's routed gradient and ``BatchNorm``'s backward scratch exist one block
 at a time.  A pool needs the slopes only at its winning taps, one per window
 (any other tap's gradient is +0.0), so there ``QuantAct`` caches its pulses
-at those taps alone, next to the pool's choice of tap, one value per pool
-output; its backward runs on the pooled gradient before the pool routes it.
+at those taps alone, one value per pool output; its backward runs on the
+pooled gradient before the pool routes it.
 """
 
 from __future__ import annotations
@@ -81,26 +79,21 @@ class LossGrad:
     dscores: np.ndarray
 
 
-ALL = slice(None)  # every channel: the ``channels`` of a call on a whole activation
-
-
 class Layer:
     """Base: forward caches, backward consumes; parameter lists default empty.
 
     A weighted layer with ``input_grad`` False still sets its weight gradient
     in ``backward`` but returns None in place of the input gradient.
 
-    ``BatchNorm``, ``QuantAct`` and ``MaxPool2d`` take a ``channels``
-    argument, the part of a 4-D activation's channels that a call is given:
-    all of them by default, or one block of a conv stage (see the module
-    docstring).  :meth:`_store` keeps one value per block and starts afresh
-    at channel 0, so a stage's blocks come in channel order; ``BatchNorm``
-    keeps its training state per channel, and a call writes only its own
-    channels of it.  A training ``BatchNorm`` stores the block it was given,
-    which then holds ``xhat``, and its backward takes it out of the store.
+    ``stack`` holds what backward needs: a training forward pushes it and
+    ``backward`` pops it, so backward calls come in the reverse order of the
+    forward calls.  A ``Network``'s training pass starts every stack empty.
     """
 
     input_grad = True
+
+    def __init__(self):
+        self.stack: list = []
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
@@ -114,23 +107,13 @@ class Layer:
     def real_params(self) -> list[RealParam]:
         return []
 
-    def _store(self, value, channels: slice) -> None:
-        """Cache ``value`` for the backward call of the same ``channels``; a
-        call on all channels or on a stage's first block starts afresh."""
-        if not channels.start:
-            self._per_block = {}
-        self._per_block[channels.start] = value
 
-    def _stored(self, channels: slice):
-        return self._per_block[channels.start]
-
-
-# Elementwise work on a 4-D activation goes through in blocks of whole
-# channels of about this many bytes, so that a block's arrays and
-# temporaries stay in a 2 MB L2 cache.  One channel of the MNIST net's conv1
-# stage is 460 kB; one per block there makes BatchNorm's training forward and
-# backward and QuantAct's forward about twice as fast.
-CHANNEL_BLOCK_BYTES = 1 << 19
+# A conv stage goes through in blocks of whole channels of about this many
+# bytes of its output, the one array that its backward is given, so that a
+# block's arrays and temporaries stay in a 2 MB L2 cache.  One channel of the
+# MNIST net's conv1 stage is 460 kB in and 115 kB pooled; one per block there
+# makes BatchNorm's training forward and backward about twice as fast.
+CHANNEL_BLOCK_BYTES = 1 << 17
 
 
 def _channel_blocks(x: np.ndarray) -> list[slice]:
@@ -149,6 +132,7 @@ class Dense(Layer):
 
     def __init__(self, in_features: int, out_features: int, space: DiscreteSpace,
                  seed: int, layer_index: int):
+        super().__init__()
         rng = param_stream(seed, layer_index)
         self.in_features = in_features
         self.out_features = out_features
@@ -156,17 +140,16 @@ class Dense(Layer):
             value=init_grid_weights((out_features, in_features), space, rng),
             space=space, rng=rng,
         )
-        self._x = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"expected (batch, {self.in_features}) input, got {x.shape}")
         if training:
-            self._x = x
+            self.stack.append(x)
         return x @ self.weight.value.T
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
-        self.weight.grad = grad.T @ self._x
+        self.weight.grad = grad.T @ self.stack.pop()
         return grad @ self.weight.value if self.input_grad else None
 
     def grid_params(self) -> list[GridParam]:
@@ -249,6 +232,7 @@ class Conv2d(Layer):
                  input_space: DiscreteSpace | None = None):
         if kernel_size < 1:
             raise ValueError("kernel size must be positive")
+        super().__init__()
         rng = param_stream(seed, layer_index)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -261,7 +245,6 @@ class Conv2d(Layer):
                 (out_channels, in_channels, kernel_size, kernel_size), space, rng),
             space=space, rng=rng,
         )
-        self._x = None
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k = self.kernel_size
@@ -307,11 +290,11 @@ class Conv2d(Layer):
             _panel_matmul(kernel, self._columns(x, i0, i1, cols_buf),
                           out[:, i0:i1].reshape(o, -1))
         if training:
-            self._x = x
+            self.stack.append(x)
         return out.astype(np.float64, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
-        x = self._x
+        x = self.stack.pop()
         o, oh, ow, b = grad.shape
         c, k = self.in_channels, self.kernel_size
         kernel = self.weight.value.reshape(o, -1)
@@ -339,13 +322,15 @@ class Conv2d(Layer):
 class MaxPool2d(Layer):
     """Non-overlapping max pooling of (c, h, w, b) input.
 
-    The gradient routes to the first max in scan order.  Training caches each
-    window's winning tap by ``channels``, for :meth:`winners` and :meth:`backward`.
+    The gradient routes to the first max in scan order.  A training forward
+    pushes each window's winning tap and its input's shape, which
+    :meth:`winners` reads and :meth:`backward` pops.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must be positive")
+        super().__init__()
         self.window = window
         self._corners = None
 
@@ -355,7 +340,7 @@ class MaxPool2d(Layer):
             raise ValueError(f"input {h}x{w} not divisible by window {k}")
         return h // k, w // k
 
-    def forward(self, x: np.ndarray, training: bool, channels: slice = ALL) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         k = self.window
         self.out_hw(*x.shape[1:3])
         # One pass over the k^2 strided taps; tap t sits at offset divmod(t, k).
@@ -373,13 +358,12 @@ class MaxPool2d(Layer):
                 argmax += wins * argmax.dtype.type(t)
             np.maximum(out, tap, out=out)
         if training:
-            self._store((argmax, x.shape), channels)
+            self.stack.append((argmax, x.shape))
         return out
 
-    def _winners(self, channels: slice) -> tuple[np.ndarray, tuple]:
-        """The shape of this block's training input, and the flat index into
-        that input of each window's winning tap, in the output's shape."""
-        argmax, shape = self._stored(channels)
+    def _winners(self, argmax: np.ndarray, shape: tuple) -> np.ndarray:
+        """The flat index into an input of ``shape`` of each window's winning
+        tap ``argmax``, in the output's shape."""
         k = self.window
         c, h, w, b = shape
         oh, ow = h // k, w // k
@@ -394,17 +378,17 @@ class MaxPool2d(Layer):
         t = np.arange(k * k)
         index = ((t // k) * (w * b) + (t % k) * b).take(argmax)
         index += corners[:c]
-        return index, shape
+        return index
 
-    def winners(self, x: np.ndarray, channels: slice = ALL) -> np.ndarray:
-        """The values of ``x``, shaped as this block's training input, at
-        each window's winning tap: one per output element."""
-        return x.reshape(-1)[self._winners(channels)[0]]
+    def winners(self, x: np.ndarray) -> np.ndarray:
+        """The values of ``x``, shaped as the last training forward's input,
+        at each window's winning tap: one per output element."""
+        return x.reshape(-1)[self._winners(*self.stack[-1])]
 
-    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
-        index, shape = self._winners(channels)
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        argmax, shape = self.stack.pop()
         dx = np.zeros(shape)
-        dx.reshape(-1)[index.reshape(-1)] = grad.reshape(-1)
+        dx.reshape(-1)[self._winners(argmax, shape).reshape(-1)] = grad.reshape(-1)
         return dx
 
 
@@ -419,15 +403,16 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
-            self._shape = x.shape
+            self.stack.append(x.shape)
         if self.batch_last:
             return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        shape = self.stack.pop()
         if self.batch_last:
-            return np.ascontiguousarray(grad.T).reshape(self._shape)
-        return grad.reshape(self._shape)
+            return np.ascontiguousarray(grad.T).reshape(shape)
+        return grad.reshape(shape)
 
 
 class BatchNorm(Layer):
@@ -435,28 +420,27 @@ class BatchNorm(Layer):
 
     Works on (batch, features) or (channels, h, w, batch); statistics pool
     over everything but the feature/channel axis.  Running statistics feed
-    inference mode.  A call in either mode, forward or backward, computes the
-    values of its ``channels`` as a call on all of them does.
+    inference mode.  A forward call on 4-D input returns the ``channels`` of
+    its output (all by default), computed as a call on all of them does.
 
-    Training runs in place: forward leaves ``xhat`` in the float64 array it
-    was given and keeps that array, and backward writes the input gradient
-    over it, returns it and lets go of it.  Inference never writes its
-    input.  Between steps the layer keeps the inverse standard deviations,
-    the count of values per channel, the running statistics and the
-    gamma/beta gradients (allocated by the first backward, None until then),
-    but no ``xhat``; a training call writes only its own channels of each,
-    the running statistics in place.
+    Training runs in place: forward leaves ``xhat`` in ``x[channels]`` of
+    the float64 ``x`` it was given and pushes ``x``, ``channels`` and their
+    inverse standard deviations; backward writes the input gradient over
+    ``xhat`` and returns ``x``.  Inference never writes its input.  Between
+    steps the layer keeps the running statistics and the gamma/beta
+    gradients (None until the first backward); a training call writes only
+    its own channels of them.
     """
 
     EPS, MOMENTUM = 1e-5, 0.1
 
     def __init__(self, num_features: int):
+        super().__init__()
         self.num_features = num_features
         self.gamma = RealParam(value=np.ones(num_features))
         self.beta = RealParam(value=np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._inv_std, self._n = np.empty(num_features), None
 
     def _axes_and_shape(self, x: np.ndarray):
         if x.ndim == 2:
@@ -465,43 +449,44 @@ class BatchNorm(Layer):
             return (1, 2, 3), (-1, 1, 1, 1)
         raise ValueError(f"expected 2-D or 4-D input, got shape {x.shape}")
 
-    def forward(self, x: np.ndarray, training: bool, channels: slice = ALL) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool, channels: slice = slice(None)) -> np.ndarray:
         axes, shape = self._axes_and_shape(x)
         c = channels
+        block = x[c]
         g = self.gamma.value.reshape(shape)[c]
         b = self.beta.value.reshape(shape)[c]
         if not training:
             # (x - mean) / sqrt(var + eps) * gamma + beta, in place on one new
             # array; x itself is never written.
-            out = x - self.running_mean.reshape(shape)[c]
+            out = block - self.running_mean.reshape(shape)[c]
             out /= np.sqrt(self.running_var.reshape(shape)[c] + self.EPS)
             out *= g
             out += b
             return out
-        self._n = n = x.size // g.size
+        n = block.size // g.size
         if n < 2:
             raise ValueError("training-mode batch norm needs at least 2 values per feature")
-        inv_std = self._inv_std.reshape(shape)[c]
-        out = np.empty_like(x)
+        out = np.empty_like(block)
         # x.mean(axes), then x.var(axes) as the mean of d * d for d = x - mean,
         # by their own reductions without the wrappers, so bit-identical.
-        # d becomes xhat in place of x, and the d * d buffer becomes the output.
-        mean = np.add.reduce(x, axis=axes) / n
-        d = np.subtract(x, mean.reshape(shape), out=x)
+        # d becomes xhat in place of the block, and the d * d buffer the output.
+        mean = np.add.reduce(block, axis=axes) / n
+        d = np.subtract(block, mean.reshape(shape), out=block)
         var = np.add.reduce(np.multiply(d, d, out=out), axis=axes) / n
-        inv_std[...] = 1.0 / np.sqrt(var.reshape(shape) + self.EPS)
+        inv_std = 1.0 / np.sqrt(var.reshape(shape) + self.EPS)
         d *= inv_std
-        self._store(d, c)
+        self.stack.append((x, c, inv_std))
         np.multiply(g, d, out=out)
         out += b
         self.running_mean[c] = (1 - self.MOMENTUM) * self.running_mean[c] + self.MOMENTUM * mean
         self.running_var[c] = (1 - self.MOMENTUM) * self.running_var[c] + self.MOMENTUM * var
         return out
 
-    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
-        c, n = channels, self._n
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        x, c, inv_std = self.stack.pop()
+        xhat = x[c]
+        n = xhat.size // inv_std.size
         axes, shape = self._axes_and_shape(grad)
-        xhat, inv_std = self._per_block.pop(c.start), self._inv_std.reshape(shape)[c]
         gamma = self.gamma.value.reshape(shape)[c]
         if self.gamma.grad is None:
             self.gamma.grad = np.empty(self.num_features)
@@ -518,9 +503,9 @@ class BatchNorm(Layer):
         dxhat_xhat_sum = np.add.reduce(dxhat * xhat, axis=axes).reshape(shape)
         dxhat *= n
         dxhat -= dxhat_sum
-        dx = np.subtract(dxhat, np.multiply(xhat, dxhat_xhat_sum, out=xhat), out=xhat)
-        dx *= inv_std / n
-        return dx
+        np.subtract(dxhat, np.multiply(xhat, dxhat_xhat_sum, out=xhat), out=xhat)
+        xhat *= inv_std / n
+        return x
 
     def real_params(self) -> list[RealParam]:
         return [self.gamma, self.beta]
@@ -533,9 +518,9 @@ class QuantAct(Layer):
     (uint8 unless pulses overlap 256 deep) and backward multiplies it by the
     pulse height ``dz / (2a)`` set in ``__init__``; tri pulses cache the input
     and rebuild the surrogate.  A training forward caches for its whole
-    input; a conv stage quantizes each channel block in inference mode and
-    caches by :meth:`keep` with that block's ``channels`` (behind a pool, at
-    the winning taps alone, and backward then takes the pooled gradient).
+    input by :meth:`keep`; a conv stage quantizes each channel block in
+    inference mode and calls :meth:`keep` itself (behind a pool, at the
+    winning taps alone, and backward then takes the pooled gradient).
     """
 
     def __init__(self, space: DiscreteSpace, spec: SurrogateSpec):
@@ -550,6 +535,7 @@ class QuantAct(Layer):
                 f"surrogate pulses, got r={spec.r!r}, a={spec.a!r}, h={space.h!r}")
         if space.n >= 2:
             check_band_threshold(space, spec.r)
+        super().__init__()
         self.space, self.spec = space, spec
         # Backward multiplies rect pulse counts, mostly 0, by this height; an
         # infinite one would make 0 * inf = NaN slopes.  None for tri pulses.
@@ -568,14 +554,13 @@ class QuantAct(Layer):
             self.keep(x)
         return out
 
-    def keep(self, x: np.ndarray, channels: slice = ALL) -> None:
-        """Cache for the backward call of the same ``channels`` what the
-        slopes at the inputs ``x`` need."""
+    def keep(self, x: np.ndarray) -> None:
+        """Push what the slopes at the inputs ``x`` need for the next backward."""
         rect = self._height is not None
-        self._store(rect_pulse_count(x, self.space, self.spec) if rect else x, channels)
+        self.stack.append(rect_pulse_count(x, self.space, self.spec) if rect else x)
 
-    def backward(self, grad: np.ndarray, channels: slice = ALL) -> np.ndarray:
-        pulses = self._stored(channels)
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        pulses = self.stack.pop()
         if self._height is not None:
             slope = pulses * self._height
         else:

@@ -86,8 +86,7 @@ class Network:
     as (c, h, w, b).  Backward stops at the first weighted layer, which skips
     its input gradient.  Training and inference run each conv stage, a 4-D
     ``BatchNorm`` -> ``QuantAct`` pair and the ``MaxPool2d`` after it if
-    there is one, one channel block at a time, passing each block to the
-    stage's layers as their ``channels`` argument (see :mod:`gxnor.layers`).
+    there is one, one channel block at a time (see :mod:`gxnor.layers`).
     """
 
     def __init__(self, layers: list[Layer], classes: int, input_shape: tuple[int, ...]):
@@ -103,7 +102,9 @@ class Network:
             fresh = i and isinstance(layers[i - 1], (Dense, Conv2d))
             if isinstance(layer, BatchNorm) and not fresh:
                 raise ValueError(f"layer {i}: a BatchNorm must directly follow a Dense or Conv2d")
-        self._first_weighted = next(i for i, l in enumerate(layers) if l.grid_params())
+        self._first_weighted = next((i for i, l in enumerate(layers) if l.grid_params()), None)
+        if self._first_weighted is None:
+            raise ValueError("the network has no weighted layer")
         layers[self._first_weighted].input_grad = False
         # The one fold slot: the pairs' state last seen and the folds compiled from it.
         self._fold_slot: tuple = (None, None)
@@ -112,9 +113,6 @@ class Network:
         self._stage_end = {i: i + 3 if i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2d)
                            else i + 2 for i, (a, b) in enumerate(zip(layers, layers[1:]))
                            if isinstance(a, BatchNorm) and isinstance(b, QuantAct)}
-        # By the same index, each stage input that a training forward
-        # normalized, until its backward turns it into the input gradient.
-        self._normalized: dict[int, np.ndarray] = {}
 
     def enter(self, images: np.ndarray) -> np.ndarray:
         """An image batch in the layout the first layer takes."""
@@ -142,31 +140,28 @@ class Network:
         c, h, w, b = y.shape
         out = np.empty((c, *pool[0].out_hw(h, w), b) if pool else y.shape)
         zeros = 0
-        if training:
-            self._normalized[start] = y
-        for s in _channel_blocks(y):
+        for s in _channel_blocks(out):
             if fold is not None:
                 q, n = fold.levels(y[s], s)
             else:
-                z = bn.forward(y[s], training, s)
+                z = bn.forward(y, training, s)
                 q = qa.forward(z, False)
                 n = 0 if training else q.size - np.count_nonzero(q)
             zeros += n
-            out[s] = pool[0].forward(q, training, s) if pool else q
+            out[s] = pool[0].forward(q, training) if pool else q
             if training:
                 # Behind a pool every tap but a window's winner gets a +0.0
                 # gradient, so QuantAct caches its pulses at the winners alone.
-                qa.keep(pool[0].winners(z, s) if pool else z, s)
+                qa.keep(pool[0].winners(z) if pool else z)
         return out, zeros
 
     def _stage_backward(self, start: int, grad: np.ndarray) -> np.ndarray:
-        """The stage's input gradient, written block by block over the array
-        that its training forward normalized in place."""
+        """The stage's input gradient, written block by block, last block
+        first, over the array that its training forward normalized in place."""
         bn, qa, *pool = self.layers[start:self._stage_end[start]]
-        dx = self._normalized.pop(start)
-        for s in _channel_blocks(dx):
-            g = qa.backward(grad[s], s)
-            bn.backward(pool[0].backward(g, s) if pool else g, s)
+        for s in reversed(_channel_blocks(grad)):
+            g = qa.backward(grad[s])
+            dx = bn.backward(pool[0].backward(g) if pool else g)
         return dx
 
     def grid_params(self):
@@ -297,18 +292,22 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
     """One batch's class scores and, in inference, each quantized layer's
     zero fraction; every forward pass of ``net`` is this walk.
 
-    A conv stage runs by channel blocks.  Training runs every layer, caching
-    what backward needs, and counts no zeros.  Inference runs a pair with a
-    compiled fold as its compares.  Each dense layer with packed weights in
-    ``packed_w`` (``id(layer)`` to packed weights) runs on bit planes, taken
-    straight from a fold's compares where one feeds it, and adds its open
-    gates, bitcounts and lanes to ``tally``; its integer scores go on as
-    they are.
+    A conv stage runs by channel blocks.  Training empties every layer's
+    stack, runs every layer, pushing what backward needs, and counts no
+    zeros; the layers before the first weighted one, where backward stops,
+    run as in inference.  Inference runs a pair with a compiled fold as its
+    compares.  Each dense layer with packed weights in ``packed_w``
+    (``id(layer)`` to packed weights) runs on bit planes, taken straight
+    from a fold's compares where one feeds it, and adds its open gates,
+    bitcounts and lanes to ``tally``; its integer scores go on as they are.
     """
     zeros = []
     folds = {} if training else net._folds()
     x = net.enter(x)
     layers = net.layers
+    if training:
+        for layer in layers:
+            layer.stack.clear()
     i = 0
     while i < len(layers):
         layer = layers[i]
@@ -329,7 +328,7 @@ def _walk(net: Network, x: np.ndarray, packed_w: dict | None = None,
             x, rep = packed_dense_forward(planes, packed_w[id(layer)])
             tally += (rep.xnor_ops, rep.bitcount_ops, planes.n_rows * layer.weight.value.size)
         else:
-            x = layer.forward(x, training)
+            x = layer.forward(x, training and i >= net._first_weighted)
         if isinstance(layer, QuantAct) and not training:
             zeros.append((x.size - np.count_nonzero(x)) / x.size)
         i += 1
@@ -374,22 +373,28 @@ def evaluate(net: Network, dataset: Dataset) -> tuple[float, float]:
     return _inference_pass(net, dataset)[:2]
 
 
+def _packed_layers(net: Network) -> list[Dense]:
+    return [layer for prev, layer in zip(net.layers, net.layers[1:])
+            if isinstance(prev, QuantAct) and isinstance(layer, Dense)]
+
+
 def packed_eligible(net: Network) -> bool:
-    """Whether ``packed_evaluate`` can run: ternary unit-range grids, dense layers only."""
+    """Whether ``packed_evaluate`` can run: ternary unit-range grids, dense
+    layers only, one of them at least fed by a quantized activation."""
     ternary_unit = lambda s: s.n == 1 and s.h == 1.0
     return (
         all(ternary_unit(p.space) for p in net.grid_params())
         and all(ternary_unit(qa.space) for qa in net.quant_layers())
         and all(isinstance(l, (Flatten, Dense, BatchNorm, QuantAct)) for l in net.layers)
+        and bool(_packed_layers(net))
     )
 
 
 def _packed_weights(net: Network) -> dict:
     if not packed_eligible(net):
-        raise ValueError("packed inference needs ternary unit-range weights and activations")
-    return {id(layer): pack_ternary_matrix(layer.weight.value)
-            for prev, layer in zip(net.layers, net.layers[1:])
-            if isinstance(prev, QuantAct) and isinstance(layer, Dense)}
+        raise ValueError("packed inference needs ternary unit-range weights and activations "
+                         "and a dense layer fed by a quantized activation")
+    return {id(layer): pack_ternary_matrix(layer.weight.value) for layer in _packed_layers(net)}
 
 
 def packed_evaluate(net: Network, dataset: Dataset) -> tuple[float, OpReport]:

@@ -93,16 +93,15 @@ class TestTrain:
     def test_one_test_set_pass_per_epoch(self, config_path, tmp_path, monkeypatch):
         # The checkpoint's per-layer zero fractions come from the last epoch's
         # evaluation, not from one more pass over the test set.
-        # Every inference walk starts at the MLP's Flatten layer.
-        forward = gxnor.layers.Flatten.forward
+        walk = gxnor.network._walk
         eval_images = []
 
-        def counting(layer, x, training):
+        def counting(net, x, *args, training=False):
             if not training:
                 eval_images.append(len(x))
-            return forward(layer, x, training)
+            return walk(net, x, *args, training=training)
 
-        monkeypatch.setattr(gxnor.layers.Flatten, "forward", counting)
+        monkeypatch.setattr(gxnor.network, "_walk", counting)
         out = str(tmp_path / "out")
         assert run("train", "--config", config_path, "--out-dir", out) == 0
         _, test = resolve_dataset(FAST_BLOBS.dataset)
@@ -148,6 +147,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert "inference=packed" in out
         assert "test_accuracy=" in out and "sparsity=" in out
+
+    def test_a_net_with_no_dense_layer_on_bit_planes_reports_float(self, tmp_path, capsys):
+        # mlp-16-4's one dense layer sees the pixels, so nothing runs packed.
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(dataclasses.replace(FAST_BLOBS, architecture="mlp-16-4",
+                                           epochs=1).to_text())
+        out = tmp_path / "flat"
+        assert run("train", "--config", str(cfg), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", str(out / "model.gxnr")) == 0
+        assert "inference=float" in capsys.readouterr().out.splitlines()
 
     def test_accuracy_matches_training_metrics(self, checkpoint, capsys):
         metrics = os.path.join(os.path.dirname(checkpoint), "metrics.csv")

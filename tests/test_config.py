@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from gxnor.config import (
     CONFIG_VERSION,
     ConfigError,
+    METRICS_COLUMNS,
     MetricsRecord,
     RunConfig,
     read_metrics,
@@ -71,6 +72,14 @@ class TestRunConfig:
     def test_non_assignment_line_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             RunConfig.from_text(f"config_version={CONFIG_VERSION}\nepochs\n")
+
+    @pytest.mark.parametrize("text, lines", [
+        (f"config_version={CONFIG_VERSION}\nseed=1\nseed=2\n", (3, 2)),
+        (f"config_version=2\n\n# again\nconfig_version={CONFIG_VERSION}\n", (4, 1)),
+    ], ids=["seed", "config_version"])
+    def test_repeated_key_rejected_naming_both_lines(self, text, lines):
+        with pytest.raises(ConfigError, match=r"line %d: .* already given on line %d" % lines):
+            RunConfig.from_text(text)
 
     @pytest.mark.parametrize("overrides", [
         dict(n1=-1), dict(h=0.0), dict(r=-0.5), dict(surrogate="gauss"),
@@ -194,6 +203,14 @@ class TestMetrics:
         path = tmp_path / "bad.csv"
         path.write_text("# metrics_version=1\n1,2,3,4\n")
         with pytest.raises(ConfigError, match="column header"):
+            read_metrics(str(path))
+
+    @pytest.mark.parametrize("row", ["1,2.0,0.5", "1,2.0,0.5,0.1,7", "1,2.0,half,0.1"])
+    def test_read_rejects_a_malformed_row_naming_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# metrics_version=1\n{','.join(METRICS_COLUMNS)}\n"
+                        f"1,2.0,0.5,0.1\n{row}\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv line 4: bad row"):
             read_metrics(str(path))
 
     def test_full_precision_survives_round_trip(self, tmp_path):

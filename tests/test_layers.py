@@ -382,6 +382,7 @@ class TestMaxPool2d:
         assert np.array_equal(out, ref_out)
         assert np.array_equal(batch_first(layer.backward(np.ones(out.shape[::-1]))) != 0,
                               ref_routed)
+        layer.forward(batch_last(x), training=True)
         assert np.array_equal(batch_first(layer.backward(batch_last(grad))), ref_dx)
 
 
@@ -413,6 +414,7 @@ def test_maxpool_exact_with_signed_zeros_and_ties(case):
     assert np.array_equal(np.signbit(out), np.signbit(reduce(np.maximum, taps)))
     assert np.array_equal(dx, ref_dx)
     assert np.array_equal(np.signbit(dx), np.signbit(ref_dx))
+    layer.forward(batch_last(x), training=True)
     routed = batch_first(layer.backward(np.ones(grad.shape[::-1]))) != 0
     assert np.array_equal(routed, ref_routed)
 
@@ -427,15 +429,16 @@ def test_maxpool_exact_with_signed_zeros_and_ties(case):
 ], ids=["Dense", "Conv2d", "MaxPool2d", "QuantAct", "Flatten"])
 def test_eval_forward_leaves_backward_cache_alone(make, shape, other):
     """An inference pass between forward and backward, on a batch of
-    another size (shape ``other``), must not change the gradients."""
+    another size (shape ``other``), must not change the gradients: they
+    equal those of a twin layer that saw no inference call."""
     rng = np.random.default_rng(15)
     x = rng.normal(size=shape)
-    layer = make()
+    layer, twin = make(), make()
     out = layer.forward(x, training=True)
+    twin.forward(x, training=True)
     g = rng.normal(size=out.shape)
-    expect = layer.backward(g)
     layer.forward(rng.normal(size=other), training=False)
-    assert np.array_equal(layer.backward(g), expect)
+    assert np.array_equal(layer.backward(g), twin.backward(g))
 
 
 class TestFlatten:
@@ -573,9 +576,9 @@ class TestBatchNorm:
         assert held() is None
 
     def test_state_kept_across_batch_sizes_equals_a_fresh_layer(self):
-        """The buffers that outlive a step (the inverse deviations, the
-        count and the gamma/beta gradients) serve batches of 6, 3 and 6 rows
-        as a fresh copy of the layer's state does, bit for bit."""
+        """The buffers that outlive a step (the gamma/beta gradients) serve
+        batches of 6, 3 and 6 rows as a fresh copy of the layer's state does,
+        bit for bit."""
         rng = np.random.default_rng(23)
         layer = BatchNorm(3)
         for step, rows in enumerate([6, 3, 6]):

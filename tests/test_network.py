@@ -334,8 +334,8 @@ def test_backward_stops_at_the_first_weighted_layer(architecture, monkeypatch):
     assert [layer.input_grad for layer in weighted] == [False] + [True] * (len(weighted) - 1)
     returned = {}
     for layer in net.layers:
-        def record(grad, *block, layer=layer, backward=layer.backward):
-            returned[id(layer)] = backward(grad, *block)
+        def record(grad, layer=layer, backward=layer.backward):
+            returned[id(layer)] = backward(grad)
             return returned[id(layer)]
         monkeypatch.setattr(layer, "backward", record)
     rng = np.random.default_rng(5)
@@ -360,6 +360,71 @@ def test_train_step_leaves_the_images_as_they_were(architecture):
     train_step(net, images, rng.integers(0, 4, size=8),
                DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params()))
     assert images.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("architecture, image_shape", [
+    ("mlp-16-32-4", (1, 1, 16)),
+    ("conv-2c3-mp2-8fc", (1, 10, 10)),
+    ("conv-8c1-16fc", (1, 4, 4)),      # a 4-D stage with no pool
+    ("conv-mp2-2c3-4fc", (1, 6, 6)),   # opens with a pool
+], ids=["mlp", "conv-pooled", "conv-no-pool", "mp-first"])
+def test_train_step_leaves_every_stack_empty(architecture, image_shape):
+    net = build_network(architecture, input_shape=image_shape, classes=4, seed=3)
+    grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+    rng = np.random.default_rng(43)
+    for _ in range(2):
+        train_step(net, rng.normal(size=(6, *image_shape)), rng.integers(0, 4, size=6),
+                   grid, real)
+        assert [layer.stack for layer in net.layers] == [[] for _ in net.layers]
+
+
+def stack_entries(net):
+    """Each layer's stack with its arrays as dtype, shape and bytes."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return tuple(map(plain, value)) if isinstance(value, tuple) else value
+    return [[plain(entry) for entry in layer.stack] for layer in net.layers]
+
+
+def test_a_failed_training_pass_leaves_nothing_for_the_next():
+    """A train_step that raises inside a conv stage leaves caches behind; the
+    next training forward holds exactly what it holds on a net that never
+    failed, and its backward leaves every stack empty."""
+    make = lambda: build_network("conv-2c1-mp1-4fc", input_shape=(1, 1, 1), classes=2)
+    net, clean = make(), make()
+    grid, real = DstOptimizer(net.grid_params()), AdamOptimizer(net.real_params())
+    with pytest.raises(ValueError, match="needs at least 2 values per feature"):
+        train_step(net, np.zeros((1, 1, 1, 1)), np.zeros(1, dtype=int), grid, real)
+    assert any(layer.stack for layer in net.layers)
+    images = np.random.default_rng(47).normal(size=(4, 1, 1, 1))
+    net.forward(images, training=True)
+    clean.forward(images, training=True)
+    assert stack_entries(net) == stack_entries(clean)
+    net.backward(np.ones((4, 2)))
+    assert all(not layer.stack for layer in net.layers)
+
+
+@pytest.mark.parametrize("batch, sizes", [
+    (100, ([1] * 32, [10] * 6 + [4])),
+    (1000, ([1] * 32, [1] * 64)),
+])
+def test_mnist_conv_net_channel_blocks(batch, sizes, monkeypatch):
+    """The channel blocks of the MNIST conv net's two stages, sized by their
+    pooled outputs."""
+    net = build_network("conv-32c5-mp2-64c5-mp2-512fc")
+    seen = []
+    spy = lambda x: seen.append(x.shape) or _channel_blocks(x)
+    monkeypatch.setattr(gxnor.network, "_channel_blocks", spy)
+    net.forward(np.zeros((batch, 1, 28, 28)))
+    assert seen == [(32, 12, 12, batch), (64, 4, 4, batch)]
+    for shape, expect in zip(seen, sizes):
+        assert [s.stop - s.start for s in _channel_blocks(np.empty(shape))] == expect
+
+
+def test_a_network_needs_a_weighted_layer():
+    with pytest.raises(ValueError, match="no weighted layer"):
+        Network([Flatten()], classes=2, input_shape=(1, 1, 2))
 
 
 @pytest.mark.parametrize("before", [[], [Flatten()]], ids=["first", "after-flatten"])
@@ -420,7 +485,8 @@ class TestConvStageBlocks:
         return y
 
     def use_layout(self, layout, shape, monkeypatch):
-        """Set the channel block size of ``layout`` for (c, h, w, b) ``shape``."""
+        """Set the channel block size of ``layout`` for a stage whose output
+        has the (c, h, w, b) ``shape``."""
         channels, per = self.LAYOUTS[layout]
         if per is not None:
             monkeypatch.setattr(gxnor.layers, "CHANNEL_BLOCK_BYTES",
@@ -443,8 +509,8 @@ class TestConvStageBlocks:
         bn.beta.value = rng.choice([-0.0, 0.0, 0.25, -0.75], size=channels)
         ref = copy.deepcopy(net)
         shape = (channels, 6, 6, 5)
-        self.use_layout(layout, shape, monkeypatch)
         pooled = (channels, 6 // (window or 1), 6 // (window or 1), 5)
+        self.use_layout(layout, pooled, monkeypatch)
         for step in range(2):  # the second step starts from the state the first left
             y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0])
             g = rng.choice(np.array([-0.0, 0.0, 1.0, -2.5, 0.5]), size=pooled)
@@ -511,7 +577,8 @@ class TestConvStageBlocks:
         fold = compile_pair(bn, qa) if folded else None
         assert folded == (fold is not None)
         shape = (channels, 6, 6, 5)
-        self.use_layout(layout, shape, monkeypatch)
+        self.use_layout(layout, (channels, 6 // (window or 1), 6 // (window or 1), 5),
+                        monkeypatch)
         y = self.activation(rng, shape, [-0.0, 0.0, 0.25, -0.25, 1.0, 3.0,
                                          np.nan, np.inf, -np.inf])
         out, zeros = net._stage_forward(1, y, False, fold)
@@ -766,6 +833,7 @@ class TestPackedInference:
         assert packed_eligible(build_network("mlp-16-8-4", **shape))
         assert not packed_eligible(build_network("mlp-16-8-4", n1=2, r=0.1, a=0.2, **shape))
         assert not packed_eligible(build_network("mlp-16-8-4", h=2.0, **shape))
+        assert not packed_eligible(build_network("mlp-16-4", **shape))  # nothing on bit planes
         assert not packed_eligible(
             build_network("conv-2c3-4fc", input_shape=(1, 6, 6), classes=3))
 
